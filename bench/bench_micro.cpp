@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: crypto primitives,
 // hop-field MACs, segment verification, SCION header codec, PPL parsing and
-// evaluation, sequence matching, and legacy route computation.
+// evaluation, sequence matching, legacy route computation, and one exchange
+// on a long-lived transport connection.
 #include <benchmark/benchmark.h>
 
 #include "core/layer_model.hpp"
 #include "crypto/signature.hpp"
+#include "http/client.hpp"
+#include "http/server.hpp"
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -13,6 +16,7 @@
 #include "scion/header.hpp"
 #include "scion/segment.hpp"
 #include "support/alloc_probe.hpp"
+#include "transport/connection.hpp"
 #include "util/stats.hpp"
 
 using namespace pan;
@@ -309,6 +313,66 @@ void BM_TimeSeriesTick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TimeSeriesTick)->Arg(16)->Arg(128);
+
+// ------------------------------------------------------------- transport --
+
+/// A QUIC-lite client/server pair joined by a 10 ms wire; the server answers
+/// every request with a short 200, one stream per exchange.
+class ExchangeFixture {
+ public:
+  ExchangeFixture()
+      : client_(sim_, conduit(&server_), transport::Connection::Role::kClient, 1, {}),
+        server_(sim_, conduit(&client_), transport::Connection::Role::kServer, 1, {}) {
+    server_.set_on_stream([this](transport::Stream& stream) { http_.serve(stream); });
+    client_.start();
+    sim_.run_for(seconds(1));
+  }
+
+  /// One request/response on a fresh stream, run to completion; true iff it
+  /// was answered.
+  bool exchange() {
+    bool done = false;
+    http::HttpClientStream stream(client_.open_stream(), /*close_after_request=*/true);
+    http::HttpRequest request;
+    request.target = "/";
+    stream.fetch(request, [&](Result<http::HttpResponse> response) { done = response.ok(); });
+    return sim_.run_until_condition([&] { return done; }, sim_.now() + seconds(5));
+  }
+
+ private:
+  transport::Conduit conduit(transport::Connection* peer) {
+    transport::Conduit conduit;
+    conduit.send = [this, peer](net::PacketView wire) {
+      sim_.schedule_after(milliseconds(10), [peer, bytes = Bytes(wire.span().begin(),
+                                                                 wire.span().end())] {
+        peer->on_datagram(bytes);
+      });
+    };
+    return conduit;
+  }
+
+  sim::Simulator sim_;
+  http::HttpServer http_{[](const http::HttpRequest&, http::HttpServer::Respond respond) {
+    respond(http::make_text_response(200, "ok"));
+  }};
+  transport::Connection client_;
+  transport::Connection server_;
+};
+
+/// One exchange on a connection with range(0) finished exchanges behind it:
+/// the per-exchange cost must not grow with the connection's history.
+void BM_ExchangeWithHistory(benchmark::State& state) {
+  ExchangeFixture fx;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    if (!fx.exchange()) {
+      state.SkipWithError("exchange unanswered");
+      return;
+    }
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(fx.exchange());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExchangeWithHistory)->Arg(10)->Arg(10'000);
 
 void BM_LamportVerifyMemoized(benchmark::State& state) {
   Rng rng(1);

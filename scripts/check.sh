@@ -16,9 +16,12 @@
 #                                 # identity-isolation suite (broker
 #                                 # disjointness under rotation + link cuts)
 #   scripts/check.sh --bench-smoke # plain build, then a short bench_micro run
-#                                 # of the forwarding benches; fails if the
-#                                 # zero-copy hop path allocates or is not
-#                                 # faster than the legacy reparse pipeline
+#                                 # of the forwarding and transport benches;
+#                                 # fails if the zero-copy hop path allocates
+#                                 # or is not faster than the legacy reparse
+#                                 # pipeline, or if an exchange on a connection
+#                                 # with 10000 finished ones behind it costs
+#                                 # over 1.5x one with 10
 #   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
 #                                 # fleet suite + bench_fleet_scale --smoke;
 #                                 # fails on any strict downgrade, deadline
@@ -109,20 +112,32 @@ if [[ "${1:-}" == "--fleet" ]]; then
 fi
 
 if [[ "${1:-}" == "--bench-smoke" ]]; then
-  echo "==> bench-smoke: forwarding micro-benchmarks (zero-copy data plane)"
+  echo "==> bench-smoke: forwarding and transport micro-benchmarks"
   run_suite build
   out="$(./build/bench/bench_micro \
     --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries' \
     --benchmark_min_time=0.1 \
     --benchmark_format=json)"
   echo "$out"
+  # Five repetitions: the check compares the fastest of each, which a busy
+  # neighbour on a shared machine cannot inflate.
+  history="$(./build/bench/bench_micro \
+    --benchmark_filter='ExchangeWithHistory' \
+    --benchmark_min_time=0.1 \
+    --benchmark_repetitions=5 \
+    --benchmark_format=json)"
+  echo "$history"
   # Contract checks, not absolute timings (CI machines vary): the zero-copy
   # pipeline must not allocate on the hop path — with or without the
   # forward-latency histogram — and must beat legacy pkt/s; histogram
   # recording (tagged or not) must be allocation-free too.
-  python3 - "$out" <<'EOF'
+  python3 - "$out" "$history" <<'EOF'
 import json, sys
 runs = {b["name"]: b for b in json.loads(sys.argv[1])["benchmarks"]}
+fastest = {}
+for b in json.loads(sys.argv[2])["benchmarks"]:
+    if b["run_type"] == "iteration":
+        fastest[b["run_name"]] = min(fastest.get(b["run_name"], b["cpu_time"]), b["cpu_time"])
 for hops in (3, 8):
     legacy = runs[f"BM_ForwardHopLegacy/{hops}"]
     zc = runs[f"BM_ForwardHopZeroCopy/{hops}"]
@@ -136,6 +151,11 @@ for hops in (3, 8):
 for name in ("BM_HistogramRecord", "BM_HistogramRecordExemplar"):
     assert runs[name]["allocs_per_record"] == 0, f"{name} allocates per record"
     print(f"{name}: {runs[name]['items_per_second']:.3g} records/s, 0 allocs")
+# A pooled connection must cost what its live streams cost, not its history.
+fresh = fastest["BM_ExchangeWithHistory/10"]
+aged = fastest["BM_ExchangeWithHistory/10000"]
+print(f"exchange after 10000 finished ones: {aged / fresh:.2f}x the cost after 10")
+assert aged <= 1.5 * fresh, f"per-exchange cost grows with history ({aged / fresh:.2f}x)"
 EOF
   echo "==> bench-smoke passed"
   exit 0

@@ -25,7 +25,7 @@ HttpClientStream::HttpClientStream(transport::Bytestream& stream, bool close_aft
   });
 }
 
-HttpClientStream::~HttpClientStream() { stream_.set_on_data(nullptr); }
+HttpClientStream::~HttpClientStream() { stream_.release(); }
 
 void HttpClientStream::fetch(const HttpRequest& request, ResponseFn on_response) {
   if (stream_done_ || stream_.broken()) {

@@ -20,8 +20,8 @@ class HttpClientStream {
   using ResponseFn = std::function<void(Result<HttpResponse>)>;
 
   HttpClientStream(transport::Bytestream& stream, bool close_after_request);
-  /// Detaches from the stream: the stream outlives this object (it is owned
-  /// by the transport connection), so the read callback must not dangle.
+  /// Releases the stream (Bytestream::release): its read callback never
+  /// fires again, and the transport frees it once both directions are done.
   ~HttpClientStream();
 
   HttpClientStream(const HttpClientStream&) = delete;

@@ -10,6 +10,12 @@ std::string etag_of(std::span<const std::uint8_t> body) {
   return crypto::hex_digest(crypto::sha256(body)).substr(0, 16);
 }
 
+namespace {
+std::string quoted_etag(std::span<const std::uint8_t> body) {
+  return "\"" + etag_of(body) + "\"";
+}
+}  // namespace
+
 Bytes generate_blob(std::size_t size, std::uint64_t seed_tag) {
   Bytes out;
   out.reserve(size);
@@ -33,6 +39,7 @@ void FileServer::add_text(const std::string& path, std::string body,
                           std::string content_type) {
   Resource resource;
   resource.body = from_string(body);
+  resource.etag = quoted_etag(resource.body);
   resource.content_type = std::move(content_type);
   resources_[path] = std::move(resource);
 }
@@ -44,6 +51,7 @@ void FileServer::add_blob(const std::string& path, std::size_t size,
   for (int i = 0; i < 8; ++i) seed = (seed << 8) | tag[static_cast<std::size_t>(i)];
   Resource resource;
   resource.body = generate_blob(size, seed);
+  resource.etag = quoted_etag(resource.body);
   resource.content_type = std::move(content_type);
   resources_[path] = std::move(resource);
 }
@@ -78,7 +86,7 @@ HttpResponse FileServer::respond_to(const HttpRequest& request) {
     response.headers.set("Location", it->second.redirect_location);
   } else {
     ++hits_;
-    const std::string etag = "\"" + etag_of(it->second.body) + "\"";
+    const std::string& etag = it->second.etag;
     if (const auto inm = request.headers.get("If-None-Match"); inm == etag) {
       ++revalidations_;
       response.status = 304;

@@ -76,6 +76,7 @@ class FileServer {
  private:
   struct Resource {
     Bytes body;
+    std::string etag;  // quoted etag_of(body), computed when the body is set
     std::string content_type;
     std::string redirect_location;  // non-empty => redirect
     int redirect_status = 0;

@@ -27,6 +27,7 @@ struct HttpServer::StreamContext : std::enable_shared_from_this<HttpServer::Stre
         ++next_to_send;
         finished_our_side = true;
         stream->finish();
+        release_if_done();
         return;
       }
       stream->write(wire);
@@ -37,6 +38,13 @@ struct HttpServer::StreamContext : std::enable_shared_from_this<HttpServer::Stre
       finished_our_side = true;
       stream->finish();
     }
+    release_if_done();
+  }
+
+  /// Both directions done: hand the stream back to the transport, which
+  /// frees it (and with it this context, owned by its read callback) later.
+  void release_if_done() {
+    if (client_finished && finished_our_side) stream->release();
   }
 };
 
@@ -46,7 +54,8 @@ void HttpServer::serve(transport::Bytestream& stream) {
   auto ctx = std::make_shared<StreamContext>(stream);
 
   // Ownership: the stream's on_data closure (below) holds the only
-  // persistent shared_ptr. The parser lives inside the context, so its
+  // persistent shared_ptr, so the context lives until the transport retires
+  // the released stream. The parser lives inside the context, so its
   // callbacks may capture a raw pointer — capturing the shared_ptr there
   // would create a ctx -> parser -> closure -> ctx cycle and leak.
   StreamContext* raw = ctx.get();

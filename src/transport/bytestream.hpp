@@ -27,6 +27,15 @@ class Bytestream {
   using DataFn = std::function<void(std::span<const std::uint8_t> data, bool fin)>;
   virtual void set_on_data(DataFn on_data) = 0;
 
+  /// The application is done with the stream. From now on no callback is
+  /// delivered (incoming bytes are drained silently), and the owner may free
+  /// the stream once both directions are done: the peer's FIN arrived (or
+  /// the stream broke) and the local FIN was sent and acknowledged. The
+  /// caller must not touch the stream after release(). Safe to call from
+  /// inside the stream's own data callback; the stream is freed later, never
+  /// under a callback. Streams never released live as long as their owner.
+  virtual void release() = 0;
+
   /// True once the peer's FIN (or a connection close) has been seen.
   [[nodiscard]] virtual bool remote_finished() const = 0;
   /// True if the stream can no longer deliver or accept data (reset/closed).

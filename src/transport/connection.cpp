@@ -11,11 +11,18 @@ namespace {
 constexpr std::string_view kLog = "transport";
 /// Reserved bytes so an ACK frame can always piggyback on a data packet.
 constexpr std::size_t kAckReserve = 2 + kMaxAckRanges * 16;
+
+/// The first run starting after `k` in a sorted list of [first, last] runs.
+auto run_after(auto& runs, std::uint32_t k) {
+  return std::upper_bound(runs.begin(), runs.end(), k,
+                          [](std::uint32_t v, const auto& run) { return v < run.first; });
+}
 }  // namespace
 
 // ---------------------------------------------------------------- Stream --
 
-Stream::Stream(Connection& conn, std::uint32_t id) : conn_(conn), id_(id) {}
+Stream::Stream(Connection& conn, std::uint32_t id, std::uint64_t open_order)
+    : conn_(conn), id_(id), open_order_(open_order) {}
 
 void Stream::write(std::span<const std::uint8_t> data) {
   if (broken_ || fin_queued_) return;
@@ -24,6 +31,7 @@ void Stream::write(std::span<const std::uint8_t> data) {
   chunk.data.assign(data.begin(), data.end());
   next_send_offset_ += data.size();
   pending_.push_back(std::move(chunk));
+  conn_.enqueue(*this);
   conn_.pump();
 }
 
@@ -34,6 +42,7 @@ void Stream::finish() {
   chunk.offset = next_send_offset_;
   chunk.fin = true;
   pending_.push_back(std::move(chunk));
+  conn_.enqueue(*this);
   conn_.pump();
   conn_.note_awaiting_response();
 }
@@ -43,7 +52,29 @@ void Stream::set_on_data(DataFn on_data) {
   flush_reassembly();
 }
 
+void Stream::release() {
+  if (released_) return;
+  // The reader stays in place (this may run inside it) but is never called
+  // again; it is destroyed with the stream.
+  released_ = true;
+  orphaned_ = !fin_delivered_;
+  flush_reassembly();  // drains what already arrived; notes a finished stream
+}
+
 bool Stream::broken() const { return broken_; }
+
+bool Stream::retirable() const {
+  return released_ && (fin_delivered_ || broken_) && fin_queued_ && pending_.empty() &&
+         unacked_chunks_ == 0;
+}
+
+bool Stream::awaiting_response() const {
+  return fin_queued_ && pending_.empty() && (!fin_delivered_ || orphaned_) && !broken_;
+}
+
+void Stream::deliver(std::span<const std::uint8_t> data, bool fin) {
+  if (!released_ && on_data_) on_data_(data, fin);
+}
 
 void Stream::on_stream_frame(const StreamFrame& frame) {
   if (broken_ || fin_delivered_) return;
@@ -57,7 +88,9 @@ void Stream::on_stream_frame(const StreamFrame& frame) {
 }
 
 void Stream::flush_reassembly() {
-  if (!on_data_ || broken_) return;
+  // A released stream has no reader but still drains up to the peer's FIN,
+  // which finishes its receive side.
+  if ((!on_data_ && !released_) || broken_) return;
   for (;;) {
     const auto it = reassembly_.begin();
     bool delivered = false;
@@ -71,26 +104,26 @@ void Stream::flush_reassembly() {
         next_recv_offset_ += fresh.size();
         const bool fin_now = next_recv_offset_ == fin_offset_;
         if (fin_now) fin_delivered_ = true;
-        on_data_(fresh, fin_now);
+        deliver(fresh, fin_now);
         delivered = true;
       } else {
         delivered = true;  // fully duplicate chunk, consumed silently
       }
     }
-    if (!delivered) break;
-    if (fin_delivered_) return;
+    if (!delivered || fin_delivered_) break;
   }
   // Pure FIN (no trailing data).
   if (!fin_delivered_ && next_recv_offset_ == fin_offset_) {
     fin_delivered_ = true;
-    on_data_({}, true);
+    deliver({}, true);
   }
+  if (fin_delivered_) conn_.note_retirable(*this);
 }
 
 void Stream::mark_broken() {
   if (broken_) return;
   broken_ = true;
-  if (on_data_ && !fin_delivered_) {
+  if (on_data_ && !released_ && !fin_delivered_) {
     fin_delivered_ = true;
     on_data_({}, true);
   }
@@ -173,16 +206,82 @@ Stream& Connection::open_stream() {
   }
   const std::uint32_t id = next_local_stream_;
   next_local_stream_ += 2;
-  auto stream = std::make_unique<Stream>(*this, id);
+  return add_stream(id);
+}
+
+Stream& Connection::add_stream(std::uint32_t id) {
+  auto stream = std::make_unique<Stream>(*this, id, next_open_order_++);
   Stream& ref = *stream;
   streams_[id] = std::move(stream);
-  send_order_.push_back(id);
   return ref;
 }
 
 Stream* Connection::stream(std::uint32_t id) {
   const auto it = streams_.find(id);
   return it == streams_.end() ? nullptr : it->second.get();
+}
+
+void Connection::enqueue(Stream& stream) {
+  if (stream.queued_) return;
+  stream.queued_ = true;
+  const auto at = std::upper_bound(
+      ready_.begin(), ready_.end(), stream.open_order_,
+      [](std::uint64_t order, const Stream* other) { return order < other->open_order_; });
+  ready_.insert(at, &stream);
+}
+
+void Connection::requeue(SentChunkRef& ref) {
+  Stream* target = stream(ref.stream_id);
+  if (target == nullptr) return;
+  --target->unacked_chunks_;
+  if (target->broken_) return;
+  Stream::Chunk chunk;
+  chunk.offset = ref.offset;
+  chunk.data = std::move(ref.data);
+  chunk.fin = ref.fin;
+  target->pending_.push_front(std::move(chunk));
+  enqueue(*target);
+}
+
+void Connection::note_retirable(Stream& stream) {
+  if (stream.retirable()) retire_candidates_.push_back(stream.id_);
+}
+
+void Connection::retire_streams() {
+  for (const std::uint32_t id : retire_candidates_) {
+    const auto it = streams_.find(id);
+    if (it == streams_.end() || !it->second->retirable()) continue;  // already gone
+    // A retired stream's state is final, so whether it awaits is too.
+    if (it->second->awaiting_response()) ++retired_awaiting_;
+    streams_.erase(it);
+    mark_retired(id);
+  }
+  retire_candidates_.clear();
+}
+
+bool Connection::retired(std::uint32_t id) const {
+  const auto& runs = retired_[id & 1];
+  const std::uint32_t k = id >> 1;
+  const auto after = run_after(runs, k);
+  return after != runs.begin() && std::prev(after)->second >= k;
+}
+
+void Connection::mark_retired(std::uint32_t id) {
+  auto& runs = retired_[id & 1];
+  const std::uint32_t k = id >> 1;
+  const auto after = run_after(runs, k);
+  const bool joins_before = after != runs.begin() && std::prev(after)->second + 1 == k;
+  const bool joins_after = after != runs.end() && after->first == k + 1;
+  if (joins_before && joins_after) {
+    std::prev(after)->second = after->second;
+    runs.erase(after);
+  } else if (joins_before) {
+    std::prev(after)->second = k;
+  } else if (joins_after) {
+    after->first = k;
+  } else {
+    runs.insert(after, {k, k});
+  }
 }
 
 void Connection::close(const std::string& reason) {
@@ -253,6 +352,9 @@ void Connection::on_datagram(std::span<const std::uint8_t> data) {
   }
   record_received(packet.packet_number, ack_eliciting);
   pump();
+  // Every frame is processed and no stream callback is running: a safe point
+  // to free finished streams.
+  retire_streams();
 }
 
 void Connection::process_frame(const Frame& frame, bool* ack_eliciting) {
@@ -274,11 +376,10 @@ void Connection::process_frame(const Frame& frame, bool* ack_eliciting) {
     *ack_eliciting = true;
     Stream* target = stream(stream_frame->stream_id);
     if (target == nullptr) {
+      // A late or duplicate frame for a retired stream: acked, then dropped.
+      if (retired(stream_frame->stream_id)) return;
       // Peer-initiated stream.
-      auto created = std::make_unique<Stream>(*this, stream_frame->stream_id);
-      target = created.get();
-      streams_[stream_frame->stream_id] = std::move(created);
-      send_order_.push_back(stream_frame->stream_id);
+      target = &add_stream(stream_frame->stream_id);
       if (on_stream_) on_stream_(*target);
     }
     target->on_stream_frame(*stream_frame);
@@ -316,6 +417,12 @@ void Connection::process_ack(const AckFrame& ack) {
       }
       if (it->second.hello && role_ == Role::kClient) {
         // Handshake progress is driven by HELLO_REPLY frames, nothing to do.
+      }
+      for (const SentChunkRef& ref : it->second.chunks) {
+        if (Stream* target = stream(ref.stream_id)) {
+          --target->unacked_chunks_;
+          note_retirable(*target);
+        }
       }
       it = in_flight_.erase(it);
     } else if (pn + config_.reorder_threshold <= ack.largest()) {
@@ -371,15 +478,7 @@ void Connection::declare_lost(std::uint64_t pn, SentPacket&& packet) {
     return;
   }
   // Re-queue the chunks at the front of their streams.
-  for (SentChunkRef& ref : packet.chunks) {
-    Stream* target = stream(ref.stream_id);
-    if (target == nullptr || target->broken_) continue;
-    Stream::Chunk chunk;
-    chunk.offset = ref.offset;
-    chunk.data = std::move(ref.data);
-    chunk.fin = ref.fin;
-    target->pending_.push_front(std::move(chunk));
-  }
+  for (SentChunkRef& ref : packet.chunks) requeue(ref);
 }
 
 void Connection::retransmit_all_outstanding() {
@@ -402,15 +501,7 @@ void Connection::retransmit_all_outstanding() {
       hello_round = packet.hello_round;
       continue;
     }
-    for (auto ref = packet.chunks.rbegin(); ref != packet.chunks.rend(); ++ref) {
-      Stream* target = stream(ref->stream_id);
-      if (target == nullptr || target->broken_) continue;
-      Stream::Chunk chunk;
-      chunk.offset = ref->offset;
-      chunk.data = std::move(ref->data);
-      chunk.fin = ref->fin;
-      target->pending_.push_front(std::move(chunk));
-    }
+    for (auto ref = packet.chunks.rbegin(); ref != packet.chunks.rend(); ++ref) requeue(*ref);
   }
   if (resend_hello && state_ == State::kConnecting) send_hello(hello_round);
   pump();
@@ -429,13 +520,9 @@ void Connection::on_pto() {
 }
 
 bool Connection::awaiting_response() const {
-  for (const auto& [id, stream] : streams_) {
-    if (stream->fin_queued_ && stream->pending_.empty() && !stream->fin_delivered_ &&
-        !stream->broken_) {
-      return true;
-    }
-  }
-  return false;
+  if (retired_awaiting_ > 0) return true;
+  return std::any_of(streams_.begin(), streams_.end(),
+                     [](const auto& entry) { return entry.second->awaiting_response(); });
 }
 
 void Connection::note_awaiting_response() {
@@ -575,14 +662,13 @@ void Connection::pump() {
     SentPacket record;
 
     bool any = false;
-    std::size_t visited = 0;
-    while (budget > stream_frame_overhead() && visited < send_order_.size()) {
-      if (send_order_.empty()) break;
-      rr_cursor_ %= send_order_.size();
-      Stream* target = stream(send_order_[rr_cursor_]);
-      ++rr_cursor_;
-      ++visited;
-      if (target == nullptr || target->pending_.empty()) continue;
+    while (budget > stream_frame_overhead() && !ready_.empty()) {
+      auto at = std::lower_bound(
+          ready_.begin(), ready_.end(), rr_cursor_,
+          [](const Stream* s, std::uint64_t order) { return s->open_order_ < order; });
+      if (at == ready_.end()) at = ready_.begin();
+      Stream* target = *at;
+      rr_cursor_ = target->open_order_ + 1;
 
       Stream::Chunk& chunk = target->pending_.front();
       const std::size_t room = budget - stream_frame_overhead();
@@ -593,6 +679,10 @@ void Connection::pump() {
         frame.data = std::move(chunk.data);
         frame.fin = chunk.fin;
         target->pending_.pop_front();
+        if (target->pending_.empty()) {
+          target->queued_ = false;
+          ready_.erase(at);
+        }
       } else {
         frame.data.assign(chunk.data.begin(),
                           chunk.data.begin() + static_cast<std::ptrdiff_t>(room));
@@ -600,11 +690,11 @@ void Connection::pump() {
         chunk.offset += room;
       }
       budget -= stream_frame_overhead() + frame.data.size();
+      ++target->unacked_chunks_;
       record.chunks.push_back(
           SentChunkRef{frame.stream_id, frame.offset, frame.data, frame.fin});
       packet.frames.emplace_back(std::move(frame));
       any = true;
-      visited = 0;  // a successful pull restarts the round-robin scan
     }
 
     if (!any) break;

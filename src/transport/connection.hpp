@@ -20,6 +20,7 @@
 // DESIGN.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -72,15 +73,22 @@ struct TransportConfig {
 
 class Connection;
 
+/// A stream's lifecycle inside its connection: opened (locally or by the
+/// peer's first frame) → in the ready queue while it has chunks to send →
+/// retired (erased) once both directions are done and the application has
+/// called release(). A stream nobody releases lives as long as its connection.
 class Stream final : public Bytestream {
  public:
-  Stream(Connection& conn, std::uint32_t id);
+  /// `open_order` is the stream's position in its connection's round-robin
+  /// send order (streams are numbered as they are opened, by either side).
+  Stream(Connection& conn, std::uint32_t id, std::uint64_t open_order);
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
   void write(std::span<const std::uint8_t> data) override;
   void finish() override;
   void set_on_data(DataFn on_data) override;
+  void release() override;
   [[nodiscard]] bool remote_finished() const override { return fin_delivered_; }
   [[nodiscard]] bool broken() const override;
 
@@ -98,15 +106,26 @@ class Stream final : public Bytestream {
 
   void on_stream_frame(const StreamFrame& frame);
   void flush_reassembly();
+  /// Hands received bytes to the reader, unless the stream was released.
+  void deliver(std::span<const std::uint8_t> data, bool fin);
   void mark_broken();
+  /// Released, FIN delivered (or broken), FIN queued, and nothing left to
+  /// send or awaiting an ACK: the connection may free the stream.
+  [[nodiscard]] bool retirable() const;
+  /// Our FIN is out and the peer's has not reached a reader: keep-alive
+  /// probing continues (TransportConfig::keep_alive).
+  [[nodiscard]] bool awaiting_response() const;
 
   Connection& conn_;
   std::uint32_t id_;
+  std::uint64_t open_order_;
 
   // Send side.
   std::deque<Chunk> pending_;  // not yet (re)transmitted
   std::uint64_t next_send_offset_ = 0;
+  std::size_t unacked_chunks_ = 0;  // in-flight SentChunkRefs naming this stream
   bool fin_queued_ = false;
+  bool queued_ = false;  // in the connection's ready queue
 
   // Receive side.
   std::map<std::uint64_t, Bytes> reassembly_;
@@ -114,6 +133,10 @@ class Stream final : public Bytestream {
   std::uint64_t fin_offset_ = UINT64_MAX;
   bool fin_delivered_ = false;
   bool broken_ = false;
+  bool released_ = false;
+  // Released before the peer's FIN was delivered: the reader never sees the
+  // response end, so the stream counts as awaiting one for good.
+  bool orphaned_ = false;
   DataFn on_data_;
 };
 
@@ -167,7 +190,10 @@ class Connection {
   /// Opens a locally initiated bidirectional stream. TCP-lite connections
   /// allow exactly one. Streams are owned by the connection.
   Stream& open_stream();
+  /// nullptr for an id never opened or already retired.
   [[nodiscard]] Stream* stream(std::uint32_t id);
+  /// Streams opened and not yet retired.
+  [[nodiscard]] std::size_t live_streams() const { return streams_.size(); }
 
   void set_on_established(std::function<void()> fn) { on_established_ = std::move(fn); }
   /// Fires when the peer opens a stream.
@@ -212,6 +238,19 @@ class Connection {
   };
 
   void pump();
+  /// Creates a stream at the next position of the round-robin order.
+  Stream& add_stream(std::uint32_t id);
+  /// Puts a stream with pending chunks into the ready queue (once).
+  void enqueue(Stream& stream);
+  /// Re-queues a sent chunk at the front of its stream (loss, go-back-n).
+  void requeue(SentChunkRef& ref);
+  /// Remembers a stream that may have become retirable.
+  void note_retirable(Stream& stream);
+  /// Erases the retirable streams noted since the last call. Only called
+  /// where no stream callback is on the stack.
+  void retire_streams();
+  [[nodiscard]] bool retired(std::uint32_t id) const;
+  void mark_retired(std::uint32_t id);
   void send_hello(std::uint8_t round);
   void establish();
   void note_awaiting_response();
@@ -242,9 +281,20 @@ class Connection {
 
   // Streams.
   std::unordered_map<std::uint32_t, std::unique_ptr<Stream>> streams_;
-  std::vector<std::uint32_t> send_order_;  // round-robin cursor source
-  std::size_t rr_cursor_ = 0;
+  // The ready queue: streams with pending chunks, ascending open order.
+  // pump() serves the first one at or after the cursor (the open order of
+  // the stream served last, plus one), wrapping to the front.
+  std::vector<Stream*> ready_;
+  std::uint64_t rr_cursor_ = 0;
+  std::uint64_t next_open_order_ = 0;
   std::uint32_t next_local_stream_;
+  std::vector<std::uint32_t> retire_candidates_;
+  // Retired streams still awaiting a response (orphans; see Stream).
+  std::size_t retired_awaiting_ = 0;
+  // Retired stream ids, per id parity, as sorted disjoint [first, last] runs
+  // of id / 2: a late frame for one is dropped instead of re-opening it.
+  // Peer frames may arrive out of order, so "id <= highest seen" would not do.
+  std::array<std::vector<std::pair<std::uint32_t, std::uint32_t>>, 2> retired_;
 
   // Packet number spaces (single space for simplicity).
   std::uint64_t next_pn_ = 1;

@@ -302,6 +302,44 @@ TEST(FileServerTest, BlobsAreDeterministicAndDistinct) {
   EXPECT_NE(a1, b);
 }
 
+TEST(FileServerTest, EtagIsStableAcrossHitsAndFollowsReAdd) {
+  sim::Simulator sim;
+  FileServer fs(sim);
+  fs.add_text("/doc", "<html>v1</html>");
+  fs.add_blob("/blob", 4000);
+  auto handler = fs.handler();
+  const auto fetch = [&](const std::string& target) {
+    HttpRequest req;
+    req.target = target;
+    HttpResponse got;
+    handler(req, [&](HttpResponse r) { got = std::move(r); });
+    sim.run();
+    return got;
+  };
+  for (const std::string target : {"/doc", "/blob"}) {
+    for (int hit = 0; hit < 50; ++hit) {
+      const HttpResponse r = fetch(target);
+      ASSERT_EQ(r.status, 200);
+      EXPECT_EQ(r.headers.get("ETag"), "\"" + etag_of(r.body) + "\"");
+    }
+  }
+  const auto v1 = fetch("/doc").headers.get("ETag");
+  fs.add_text("/doc", "<html>v2</html>");
+  const HttpResponse v2 = fetch("/doc");
+  EXPECT_EQ(to_string_view_copy(v2.body), "<html>v2</html>");
+  EXPECT_EQ(v2.headers.get("ETag"), "\"" + etag_of(v2.body) + "\"");
+  EXPECT_NE(v2.headers.get("ETag"), v1);
+  // A revalidation against the old validator now misses.
+  HttpRequest revalidate;
+  revalidate.target = "/doc";
+  revalidate.headers.set("If-None-Match", *v1);
+  HttpResponse got;
+  handler(revalidate, [&](HttpResponse r) { got = std::move(r); });
+  sim.run();
+  EXPECT_EQ(got.status, 200);
+  EXPECT_EQ(fs.revalidations(), 0u);
+}
+
 TEST(FileServerTest, ThinkTimeDelaysResponse) {
   sim::Simulator sim;
   FileServer fs(sim);

@@ -1,7 +1,9 @@
 // Tests for the transport engine: frames, handshake, reliable delivery,
-// multiplexing, loss recovery, congestion behaviour, timeouts.
+// multiplexing, loss recovery, congestion behaviour, timeouts, round-robin
+// send order, and stream retirement.
 #include <gtest/gtest.h>
 
+#include "http/client.hpp"
 #include "http/file_server.hpp"  // generate_blob for payload integrity
 #include "net/host.hpp"
 #include "net/router.hpp"
@@ -515,6 +517,279 @@ TEST(ConnectionTest, StatsCountersAdvance) {
   EXPECT_GT(client.connection().stats().packets_sent, 0u);
   EXPECT_GT(client.connection().stats().packets_received, 0u);
   EXPECT_GT(client.connection().stats().bytes_sent, 0u);
+}
+
+// ------------------------------------------------------ scripted wire pair --
+
+/// A client and a server connection joined by a scripted wire: a side's n-th
+/// datagram reaches the peer 10 ms + n µs after it is sent (in order, and
+/// never two at the same instant), unless `drop` loses it. `on_wire` sees
+/// every datagram as it is sent, lost ones included.
+struct WirePair {
+  sim::Simulator sim;
+  /// Loses the n-th datagram (0-based) that one side sends when true.
+  std::function<bool(bool from_client, std::uint64_t n)> drop;
+  std::function<void(bool from_client, const TransportPacket& packet)> on_wire;
+  std::unique_ptr<Connection> client;
+  std::unique_ptr<Connection> server;
+
+  WirePair()
+      : client(std::make_unique<Connection>(sim, conduit(true), Connection::Role::kClient, 1,
+                                            quic_config())),
+        server(std::make_unique<Connection>(sim, conduit(false), Connection::Role::kServer, 1,
+                                            quic_config())) {}
+
+ private:
+  Conduit conduit(bool from_client) {
+    Conduit conduit;
+    conduit.send = [this, from_client, sent = std::uint64_t{0}](net::PacketView wire) mutable {
+      Bytes bytes(wire.span().begin(), wire.span().end());
+      if (on_wire) on_wire(from_client, parse_packet(bytes).value());
+      const std::uint64_t n = sent++;
+      if (drop && drop(from_client, n)) return;
+      sim.schedule_after(milliseconds(10) + microseconds(static_cast<std::int64_t>(n)),
+                         [this, from_client, bytes = std::move(bytes)] {
+                           (from_client ? server : client)->on_datagram(bytes);
+                         });
+    };
+    return conduit;
+  }
+};
+
+/// "c4@1800F": a STREAM frame the client sent on stream 4 at offset 1800,
+/// carrying the FIN.
+std::string describe(bool from_client, const StreamFrame& frame) {
+  return (from_client ? "c" : "s") + std::to_string(frame.stream_id) + "@" +
+         std::to_string(frame.offset) + (frame.fin ? "F" : "");
+}
+
+TEST(StreamSchedulingTest, RoundRobinOrderMatchesGolden) {
+  // Interleaved writes on three streams; a fourth stream opened right after
+  // a send pass that ended on the last stream, so the send cursor sits past
+  // the end; and one lost client datagram whose chunks are re-queued. The
+  // expected sequence was recorded from the full-history round-robin scan
+  // the ready queue replaced: every STREAM frame, in wire order, from both
+  // sides ("open" marks when stream 6 was opened).
+  WirePair wire;
+  std::vector<std::string> frames;
+  std::uint32_t last_client_stream = 0;
+  bool opened_late = false;
+  const auto open_late = [&] {
+    if (opened_late || last_client_stream != 4) return;
+    opened_late = true;
+    frames.emplace_back("open");
+    Stream& late = wire.client->open_stream();
+    late.write(Bytes(2500, 0xA3));
+    late.finish();
+  };
+  wire.on_wire = [&](bool from_client, const TransportPacket& packet) {
+    for (const Frame& frame : packet.frames) {
+      if (const auto* stream_frame = std::get_if<StreamFrame>(&frame)) {
+        frames.push_back(describe(from_client, *stream_frame));
+        if (from_client) last_client_stream = stream_frame->stream_id;
+      }
+    }
+    // Once the current send pass is over (streams must not be opened from
+    // inside the connection's send path).
+    if (from_client && frames.size() > 30) wire.sim.schedule_after(Duration::zero(), open_late);
+  };
+  wire.drop = [](bool from_client, std::uint64_t n) { return from_client && n == 20; };
+  wire.server->set_on_stream([](Stream& stream) {
+    stream.set_on_data([s = &stream](std::span<const std::uint8_t>, bool fin) {
+      if (fin) {
+        s->write(Bytes(1500 + 1000 * s->id(), 0x5A));
+        s->finish();
+      }
+    });
+  });
+  wire.client->set_on_established([&] {
+    Stream& a = wire.client->open_stream();
+    Stream& b = wire.client->open_stream();
+    Stream& c = wire.client->open_stream();
+    a.write(Bytes(12'000, 0xA0));
+    b.write(Bytes(12'000, 0xA1));
+    c.write(Bytes(8'000, 0xA2));
+    a.write(Bytes(4'000, 0xA0));
+    for (Stream* s : {&a, &b, &c}) s->finish();
+  });
+  wire.client->start();
+  wire.sim.run_until(TimePoint{seconds(5).nanos()});
+  std::string joined;
+  for (const std::string& f : frames) joined += f + " ";
+  EXPECT_EQ(joined,
+            // The initial window goes to stream 0, then round robin 2, 4, 0.
+            "c0@0 c0@908 c0@1816 c0@2724 c0@3632 c0@4540 c0@5448 c0@6356 c0@7264 c0@8172 "
+            "c0@9080 c0@9988 c0@10896 c2@0 c4@0 c0@11804 c2@908 c4@908 c0@12000 c2@1604 "
+            "c4@1816 c0@12908 c2@2512 c4@2724 c0@13816 c2@3420 c4@3632 c0@14724 c2@4328 "
+            "c4@4540 c0@15632 c2@5236 c4@5448 "
+            // The cursor is past the end: the new stream goes first.
+            "open c6@0 c0@16000F c2@5760 c4@6356 c6@908 c2@6652 c4@7264 c6@1816 c2@7560 "
+            "c4@8000F c6@1972 c2@8468 s0@0 s0@908 s0@1500F c6@2500F c2@8816 c2@9708 "
+            "c2@10616 c2@11524 c2@12000F "
+            // The lost datagram's chunk, re-queued.
+            "c4@1816 "
+            "s6@0 s6@908 s6@1816 s6@2724 s6@3632 s6@4540 s6@5448 s6@6356 s6@7264 s6@7500F "
+            "s2@0 s2@908 s2@1816 s4@0 s2@2724 s4@908 s2@3500F s4@1024 s4@1916 s4@2824 "
+            "s4@3732 s4@4640 s4@5500F ");
+}
+
+// ------------------------------------------------------ stream retirement --
+
+http::HttpServer::Handler answer_ok() {
+  return [](const http::HttpRequest&, http::HttpServer::Respond respond) {
+    respond(http::make_text_response(200, "ok"));
+  };
+}
+
+http::HttpRequest get_root() {
+  http::HttpRequest request;
+  request.target = "/";
+  return request;
+}
+
+TEST(StreamLifecycleTest, SequentialExchangesKeepLiveStreamsBounded) {
+  // 5000 exchanges one after another, each on a fresh stream of the same
+  // connection. Both ends retire finished streams, so neither holds more
+  // than a handful however long the history gets.
+  WirePair wire;
+  http::HttpServer http_server(answer_ok());
+  int accepted = 0;
+  wire.server->set_on_stream([&](Stream& stream) {
+    ++accepted;
+    http_server.serve(stream);
+  });
+  constexpr int kExchanges = 5000;
+  int completed = 0;
+  std::size_t max_live = 0;
+  std::unique_ptr<http::HttpClientStream> exchange;
+  std::function<void()> next = [&] {
+    exchange = std::make_unique<http::HttpClientStream>(wire.client->open_stream(),
+                                                        /*close_after_request=*/true);
+    exchange->fetch(get_root(), [&](Result<http::HttpResponse> response) {
+      EXPECT_TRUE(response.ok());
+      ++completed;
+      // Drop the exchange (releasing its stream) outside its own callback.
+      wire.sim.schedule_after(Duration::zero(), [&] {
+        exchange.reset();
+        max_live = std::max({max_live, wire.client->live_streams(), wire.server->live_streams()});
+        if (completed < kExchanges) next();
+      });
+    });
+  };
+  wire.client->set_on_established(next);
+  wire.client->start();
+  wire.sim.run_until_condition([&] { return completed == kExchanges && exchange == nullptr; },
+                               TimePoint{seconds(1000).nanos()});
+  wire.sim.run_for(seconds(1));  // trailing ACKs
+  EXPECT_EQ(completed, kExchanges);
+  EXPECT_EQ(accepted, kExchanges);
+  EXPECT_EQ(http_server.requests_handled(), static_cast<std::uint64_t>(kExchanges));
+  EXPECT_LE(max_live, 4u);
+  EXPECT_LE(wire.client->live_streams(), 4u);
+  EXPECT_LE(wire.server->live_streams(), 4u);
+}
+
+TEST(StreamLifecycleTest, LateFrameForRetiredStreamIsAckedAndDropped) {
+  WirePair wire;
+  http::HttpServer http_server(answer_ok());
+  int accepted = 0;
+  wire.server->set_on_stream([&](Stream& stream) {
+    ++accepted;
+    http_server.serve(stream);
+  });
+  std::optional<StreamFrame> request_frame;
+  std::vector<AckFrame> server_acks;
+  wire.on_wire = [&](bool from_client, const TransportPacket& packet) {
+    for (const Frame& frame : packet.frames) {
+      const auto* stream_frame = std::get_if<StreamFrame>(&frame);
+      if (stream_frame != nullptr && from_client && !request_frame) request_frame = *stream_frame;
+      const auto* ack = std::get_if<AckFrame>(&frame);
+      if (ack != nullptr && !from_client) server_acks.push_back(*ack);
+    }
+  };
+  bool answered = false;
+  std::unique_ptr<http::HttpClientStream> exchange;
+  wire.client->set_on_established([&] {
+    exchange = std::make_unique<http::HttpClientStream>(wire.client->open_stream(),
+                                                        /*close_after_request=*/true);
+    exchange->fetch(get_root(), [&](Result<http::HttpResponse> response) {
+      EXPECT_TRUE(response.ok());
+      answered = true;
+    });
+  });
+  wire.client->start();
+  ASSERT_TRUE(wire.sim.run_until_condition([&] { return answered; }, TimePoint{seconds(5).nanos()}));
+  exchange.reset();
+  wire.sim.run_for(seconds(1));
+  ASSERT_EQ(wire.server->live_streams(), 0u);
+  ASSERT_TRUE(request_frame.has_value());
+
+  // The request's first frame again, in a fresh packet, after its stream
+  // was retired: acked, but it neither re-opens the stream nor reaches the
+  // application.
+  const auto deliver = [&](std::uint64_t packet_number, StreamFrame frame) {
+    TransportPacket packet;
+    packet.conn_id = 1;
+    packet.packet_number = packet_number;
+    packet.frames.emplace_back(std::move(frame));
+    wire.server->on_datagram(serialize_packet(packet));
+    wire.sim.run_for(milliseconds(100));
+  };
+  deliver(1000, *request_frame);
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(wire.server->live_streams(), 0u);
+  EXPECT_EQ(http_server.requests_handled(), 1u);
+  ASSERT_FALSE(server_acks.empty());
+  EXPECT_TRUE(server_acks.back().contains(1000));
+
+  // Peer streams opened out of order (4 before 2) are both new: only the
+  // retired ids are refused, not every id below the highest seen.
+  deliver(1001, StreamFrame{4, 0, false, from_string("x")});
+  deliver(1002, StreamFrame{2, 0, false, from_string("x")});
+  EXPECT_EQ(accepted, 3);
+  EXPECT_EQ(wire.server->live_streams(), 2u);
+}
+
+TEST(StreamLifecycleTest, ReleasedStreamLivesUntilItsDataIsAcked) {
+  // The client releases its stream right after queueing the request and
+  // FIN, and the first data datagram is lost. The server answers as soon as
+  // the stream appears, so the client's receive side is done early; its send
+  // side is not until the retransmission is acked.
+  WirePair wire;
+  wire.drop = [](bool from_client, std::uint64_t n) { return from_client && n == 1; };
+  Bytes server_got;
+  bool server_fin = false;
+  wire.server->set_on_stream([&](Stream& stream) {
+    stream.write(from_string("response"));
+    stream.finish();
+    stream.set_on_data([&](std::span<const std::uint8_t> data, bool fin) {
+      server_got.insert(server_got.end(), data.begin(), data.end());
+      server_fin = fin;
+    });
+  });
+  const Bytes request = http::generate_blob(3000, 3);
+  bool reader_called = false;
+  wire.client->set_on_established([&] {
+    Stream& stream = wire.client->open_stream();
+    stream.set_on_data([&](std::span<const std::uint8_t>, bool) { reader_called = true; });
+    stream.write(request);
+    stream.finish();
+    stream.release();
+  });
+  wire.client->start();
+  ASSERT_TRUE(
+      wire.sim.run_until_condition([&] { return server_fin; }, TimePoint{seconds(10).nanos()}));
+  EXPECT_EQ(server_got, request);  // the lost chunk was retransmitted
+  EXPECT_GT(wire.client->stats().packets_lost, 0u);
+  // The response FIN is in, but the retransmission's ACK is still on its way.
+  const Stream* stream = wire.client->stream(0);
+  ASSERT_NE(stream, nullptr);
+  EXPECT_TRUE(stream->remote_finished());
+
+  wire.sim.run_for(seconds(1));
+  EXPECT_EQ(wire.client->stream(0), nullptr);
+  EXPECT_EQ(wire.client->live_streams(), 0u);
+  EXPECT_FALSE(reader_called);
 }
 
 }  // namespace
