@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: crypto primitives,
 // hop-field MACs, segment verification, SCION header codec, PPL parsing and
-// evaluation, sequence matching, legacy route computation, and one exchange
-// on a long-lived transport connection.
+// evaluation, sequence matching, legacy route computation, one exchange on a
+// long-lived transport connection, and the simulator's event core.
 #include <benchmark/benchmark.h>
 
 #include "core/layer_model.hpp"
@@ -9,12 +9,14 @@
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "net/graph.hpp"
+#include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "ppl/parser.hpp"
 #include "scion/border_router.hpp"
 #include "scion/header.hpp"
 #include "scion/segment.hpp"
+#include "sim/timer.hpp"
 #include "support/alloc_probe.hpp"
 #include "transport/connection.hpp"
 #include "util/stats.hpp"
@@ -373,6 +375,53 @@ void BM_ExchangeWithHistory(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ExchangeWithHistory)->Arg(10)->Arg(10'000);
+
+// ------------------------------------------------------------ sim engine --
+
+/// Schedule-and-run of events whose capture is packet-sized, like the
+/// per-hop delivery closure of Network::send; 64 events per iteration at
+/// spread-out times. Once warm the event core must not allocate.
+void BM_SimScheduleRun(benchmark::State& state) {
+  constexpr int kBatch = 64;
+  sim::Simulator sim;
+  std::uint64_t delivered = 0;
+  const auto batch = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      net::Packet packet;
+      packet.id = static_cast<std::uint64_t>(i);
+      sim.schedule_after(Duration{(i * 7919) % 1000}, [&delivered, p = std::move(packet)] {
+        delivered += p.id;
+      });
+    }
+    sim.run();
+  };
+  batch();  // warm: the heap and the slot pool reach their capacity
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  for (auto _ : state) batch();
+  const std::uint64_t allocs = testsupport::allocation_count() - allocs_before;
+  benchmark::DoNotOptimize(delivered);
+  const auto events = static_cast<double>(state.iterations()) * kBatch;
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["allocs_per_event"] = benchmark::Counter(static_cast<double>(allocs) / events);
+}
+BENCHMARK(BM_SimScheduleRun);
+
+/// Re-arming an idle timeout, as a transport does on every datagram, with
+/// 256 other events pending: one cancel plus one schedule per iteration.
+void BM_TimerRearm(benchmark::State& state) {
+  sim::Simulator sim;
+  for (int i = 0; i < 256; ++i) sim.schedule_after(seconds(60) + Duration{i}, [] {});
+  sim::Timer timer(sim, [] {});
+  timer.arm(seconds(30));
+  timer.arm(seconds(30));  // warm: the free-slot list has its capacity
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  for (auto _ : state) timer.arm(seconds(30));
+  const std::uint64_t allocs = testsupport::allocation_count() - allocs_before;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["allocs_per_rearm"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TimerRearm);
 
 void BM_LamportVerifyMemoized(benchmark::State& state) {
   Rng rng(1);

@@ -16,12 +16,13 @@
 #                                 # identity-isolation suite (broker
 #                                 # disjointness under rotation + link cuts)
 #   scripts/check.sh --bench-smoke # plain build, then a short bench_micro run
-#                                 # of the forwarding and transport benches;
-#                                 # fails if the zero-copy hop path allocates
-#                                 # or is not faster than the legacy reparse
-#                                 # pipeline, or if an exchange on a connection
-#                                 # with 10000 finished ones behind it costs
-#                                 # over 1.5x one with 10
+#                                 # of the forwarding, transport and event-core
+#                                 # benches; fails if the zero-copy hop path
+#                                 # allocates or is not faster than the legacy
+#                                 # reparse pipeline, if an exchange on a
+#                                 # connection with 10000 finished ones behind
+#                                 # it costs over 1.5x one with 10, or if a warm
+#                                 # packet-sized event or timer re-arm allocates
 #   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
 #                                 # fleet suite + bench_fleet_scale --smoke;
 #                                 # fails on any strict downgrade, deadline
@@ -112,10 +113,10 @@ if [[ "${1:-}" == "--fleet" ]]; then
 fi
 
 if [[ "${1:-}" == "--bench-smoke" ]]; then
-  echo "==> bench-smoke: forwarding and transport micro-benchmarks"
+  echo "==> bench-smoke: forwarding, transport and event-core micro-benchmarks"
   run_suite build
   out="$(./build/bench/bench_micro \
-    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries' \
+    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries|SimScheduleRun|TimerRearm' \
     --benchmark_min_time=0.1 \
     --benchmark_format=json)"
   echo "$out"
@@ -151,6 +152,12 @@ for hops in (3, 8):
 for name in ("BM_HistogramRecord", "BM_HistogramRecordExemplar"):
     assert runs[name]["allocs_per_record"] == 0, f"{name} allocates per record"
     print(f"{name}: {runs[name]['items_per_second']:.3g} records/s, 0 allocs")
+# The event core stores packet-sized captures inline and re-arms timers in
+# place: neither may allocate once warm.
+for name, counter in (("BM_SimScheduleRun", "allocs_per_event"),
+                      ("BM_TimerRearm", "allocs_per_rearm")):
+    assert runs[name][counter] == 0, f"{name} allocates ({runs[name][counter]:g} {counter})"
+    print(f"{name}: {runs[name]['items_per_second']:.3g} ops/s, 0 allocs")
 # A pooled connection must cost what its live streams cost, not its history.
 fresh = fastest["BM_ExchangeWithHistory/10"]
 aged = fastest["BM_ExchangeWithHistory/10000"]

@@ -158,7 +158,7 @@ void Network::send(NodeId from, IfId out_if, Packet packet) {
   dir.last_arrival = arrive;
 
   trace(TraceEvent::Kind::kSend, depart, from, to, packet);
-  sim_.schedule_at(arrive, [this, from, to, in_if, p = std::move(packet)]() mutable {
+  auto deliver = [this, from, to, in_if, p = std::move(packet)]() mutable {
     trace(TraceEvent::Kind::kDeliver, sim_.now(), from, to, p);
     NodeState& dst = node(to);
     if (dst.handler) {
@@ -166,7 +166,10 @@ void Network::send(NodeId from, IfId out_if, Packet packet) {
     } else {
       PAN_WARN(kLog) << "packet dropped at handler-less node " << dst.name;
     }
-  });
+  };
+  // One event per hop per packet: keep it allocation-free.
+  static_assert(sim::Callback::fits_inline<decltype(deliver)>);
+  sim_.schedule_at(arrive, std::move(deliver));
 }
 
 void Network::set_link_up(NodeId node_id, IfId ifid, bool up) {

@@ -5,25 +5,32 @@
 // with the sequence number breaking ties FIFO, which makes runs bit-for-bit
 // reproducible. Everything is single-threaded by design: handlers run to
 // completion and schedule follow-up events.
+//
+// The queue holds only live events: an indexed 4-ary min-heap of small
+// {when, seq, slot} entries over a pool of recycled slots, each holding the
+// event's callback, a generation counter and its heap position. Cancel
+// removes the entry at once; a stale id fails the generation check.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "util/types.hpp"
 
 namespace pan::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled:
+/// (slot generation << 32) | slot index. Generations start at 1, so 0 is
+/// never issued.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 class Simulator {
  public:
   Simulator();
+  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -32,13 +39,14 @@ class Simulator {
 
   /// Schedules `fn` to run at the absolute time `when` (>= now, else clamped
   /// to now). Returns an id usable with cancel().
-  EventId schedule_at(TimePoint when, std::function<void()> fn);
+  EventId schedule_at(TimePoint when, Callback fn);
 
   /// Schedules `fn` to run `delay` after now (negative delays clamp to 0).
-  EventId schedule_after(Duration delay, std::function<void()> fn);
+  EventId schedule_after(Duration delay, Callback fn);
 
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is a
-  /// harmless no-op. Returns true iff the event was pending.
+  /// Cancels a pending event and destroys its callback. Cancelling an
+  /// already-fired, already-cancelled or unknown id is a harmless no-op.
+  /// Returns true iff the event was pending.
   bool cancel(EventId id);
 
   /// Runs events until the queue drains. Returns the number of events run.
@@ -56,36 +64,43 @@ class Simulator {
   /// the queue drains or `deadline` passes. Returns true iff pred held.
   bool run_until_condition(const std::function<bool()>& pred, TimePoint deadline);
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size() - cancelled_live_; }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
  private:
-  struct Event {
+  struct Entry {
     TimePoint when;
     std::uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+  struct Slot {
+    Callback fn;
+    std::uint32_t generation = 1;
+    std::uint32_t heap_pos = kFree;
   };
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
 
   /// Pops and runs the next event; returns false if the queue is empty or the
   /// next event is beyond `deadline` (clock untouched in that case).
   bool step(TimePoint deadline);
 
+  /// Removes heap_[pos], returns its slot to the pool and hands back the
+  /// callback (the caller decides when it runs or dies).
+  Callback take(std::uint32_t pos);
+  /// Move a hole from `pos` up or down to where `e` belongs and drop it in.
+  void sift_up(std::uint32_t pos, const Entry& e);
+  void sift_down(std::uint32_t pos, const Entry& e);
+  void place(std::uint32_t pos, const Entry& e);
+  static bool before(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Cancelled ids are tombstoned and skipped on pop; cancelled_live_ counts
-  // tombstones still in the queue so pending_events() stays accurate.
-  std::unordered_set<EventId> cancelled_;
-  std::size_t cancelled_live_ = 0;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace pan::sim

@@ -1,13 +1,9 @@
-// RAII timers on top of the Simulator.
-//
-// Timer: a one-shot, re-armable timer (retransmission timeouts, idle
-// timeouts). PeriodicTimer: fires at a fixed period until stopped
-// (keep-alives, beacon origination). Both cancel themselves on destruction,
-// so owning objects can be destroyed without leaving dangling callbacks.
+// RAII one-shot, re-armable timer on top of the Simulator (retransmission
+// timeouts, idle timeouts). It cancels itself on destruction, so owning
+// objects can be destroyed without leaving dangling callbacks.
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "sim/simulator.hpp"
 
@@ -34,36 +30,10 @@ class Timer {
 
   Simulator& sim_;
   std::function<void()> on_fire_;
+  // Cancel is exact, so the scheduled [this] closure never outlives *this.
   EventId event_ = kInvalidEventId;
   bool pending_ = false;
   TimePoint deadline_;
-  // Guards against the closure firing after *this is gone: the scheduled
-  // closure captures a shared liveness token.
-  std::shared_ptr<bool> alive_;
-};
-
-class PeriodicTimer {
- public:
-  PeriodicTimer(Simulator& sim, std::function<void()> on_fire);
-  ~PeriodicTimer();
-
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  /// Starts firing every `period`, first firing after `initial_delay`.
-  void start(Duration initial_delay, Duration period);
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-
- private:
-  void fire();
-
-  Simulator& sim_;
-  std::function<void()> on_fire_;
-  Duration period_ = Duration::zero();
-  bool running_ = false;
-  EventId event_ = kInvalidEventId;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace pan::sim
