@@ -4,6 +4,8 @@
 // long-lived transport connection, and the simulator's event core.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "core/layer_model.hpp"
 #include "crypto/signature.hpp"
 #include "http/client.hpp"
@@ -134,18 +136,19 @@ struct ForwardFixture {
   scion::IsdAsn local;
   Bytes wire;
 
-  explicit ForwardFixture(std::size_t hops) {
-    constexpr std::uint32_t kTs = 1'000'000;
+  scion::HopField local_hop;
+
+  explicit ForwardFixture(std::size_t hops, std::uint32_t origin_ts = 1'000'000) {
     scion::ScionHeader header;
     scion::DataplaneSegment seg;
-    seg.origin_ts = kTs;
+    seg.origin_ts = origin_ts;
     for (std::size_t i = 0; i < hops; ++i) {
       scion::HopField hf;
       hf.isd_as = scion::IsdAsn{1, static_cast<scion::Asn>(0x100 + i)};
       hf.in_if = i == 0 ? scion::kNoIface : static_cast<scion::IfaceId>(i);
       hf.out_if = i + 1 == hops ? scion::kNoIface : static_cast<scion::IfaceId>(i + 1);
       hf.expiry_s = 24 * 3600;
-      scion::seal_hop_field(hf, kTs, key);
+      scion::seal_hop_field(hf, origin_ts, key);
       seg.hops.push_back(hf);
     }
     header.src = scion::ScionAddr{seg.hops.front().isd_as, net::IpAddr{1}};
@@ -153,7 +156,8 @@ struct ForwardFixture {
     header.path.segments.push_back(std::move(seg));
     header.cur_seg = 0;
     header.cur_hop = static_cast<std::uint8_t>(hops / 2);
-    local = header.path.segments[0].hops[hops / 2].isd_as;
+    local_hop = header.path.segments[0].hops[hops / 2];
+    local = local_hop.isd_as;
     wire = scion::serialize_scion_packet(header, Bytes(1200, 0x11));
   }
 };
@@ -182,18 +186,19 @@ void BM_ForwardHopLegacy(benchmark::State& state) {
 BENCHMARK(BM_ForwardHopLegacy)->Arg(3)->Arg(8);
 
 /// Per-hop forwarding work of the zero-copy pipeline: decide_hop over the
-/// lazy view (decodes exactly one hop field) and in-place cursor patch.
+/// lazy view (decodes exactly one hop field) and in-place cursor patch. One
+/// packet over and over, so every MAC check after the first is a memo hit.
 void BM_ForwardHopZeroCopy(benchmark::State& state) {
   ForwardFixture fx(static_cast<std::size_t>(state.range(0)));
   scion::BorderRouterConfig config;
-  const crypto::HmacKey mac_key(fx.key);  // router steady state: precomputed once
+  scion::HopMacVerifier macs(fx.key);  // router steady state: one per router
   net::PacketView packet{Bytes(fx.wire)};
   (void)packet.mutable_span();  // unique storage: patch_cursor patches in place
   const std::uint8_t cur_seg = 0;
   const std::uint8_t cur_hop = static_cast<std::uint8_t>(state.range(0) / 2);
   const std::uint64_t allocs_before = testsupport::allocation_count();
   for (auto _ : state) {
-    const scion::HopDecision d = scion::decide_hop(packet.span(), fx.local, mac_key, config);
+    const scion::HopDecision d = scion::decide_hop(packet.span(), fx.local, macs, config);
     benchmark::DoNotOptimize(d);
     scion::patch_cursor(packet, cur_seg, cur_hop);  // cursor stays put
   }
@@ -203,6 +208,54 @@ void BM_ForwardHopZeroCopy(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ForwardHopZeroCopy)->Arg(3)->Arg(8);
+
+/// The zero-copy hop with a cold memo on every packet: cycles through two
+/// sealed packets per memo slot, visiting every slot's first packet before
+/// any slot's second, so each lookup finds the slot holding the other field
+/// and computes the MAC. This keeps the raw HMAC cost of a hop visible.
+void BM_ForwardHopMacMiss(benchmark::State& state) {
+  const auto hops = static_cast<std::size_t>(state.range(0));
+  const ForwardFixture probe(hops);
+  constexpr std::size_t kSlots = scion::HopMacVerifier::kSlots;
+  std::array<std::vector<std::uint32_t>, kSlots> by_slot;  // two origin timestamps each
+  for (std::uint32_t ts = 1'000'000, found = 0; found < 2 * kSlots; ++ts) {
+    auto& slot = by_slot[scion::HopMacVerifier::slot_of(probe.local_hop, ts)];
+    if (slot.size() < 2) {
+      slot.push_back(ts);
+      ++found;
+    }
+  }
+  std::vector<net::PacketView> packets;
+  packets.reserve(2 * kSlots);
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (const std::vector<std::uint32_t>& slot : by_slot) {
+      packets.emplace_back(ForwardFixture(hops, slot[round]).wire);
+      (void)packets.back().mutable_span();
+    }
+  }
+  scion::BorderRouterConfig config;
+  scion::HopMacVerifier macs(probe.key);
+  const std::uint8_t cur_seg = 0;
+  const auto cur_hop = static_cast<std::uint8_t>(hops / 2);
+  std::size_t next = 0;
+  const std::uint64_t macs_before = macs.macs_computed();
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  for (auto _ : state) {
+    net::PacketView& packet = packets[next];
+    next = next + 1 == packets.size() ? 0 : next + 1;
+    const scion::HopDecision d = scion::decide_hop(packet.span(), probe.local, macs, config);
+    benchmark::DoNotOptimize(d);
+    scion::patch_cursor(packet, cur_seg, cur_hop);
+  }
+  const std::uint64_t allocs = testsupport::allocation_count() - allocs_before;
+  const double iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["allocs_per_forward"] =
+      benchmark::Counter(static_cast<double>(allocs) / iterations);
+  state.counters["macs_per_forward"] =
+      benchmark::Counter(static_cast<double>(macs.macs_computed() - macs_before) / iterations);
+}
+BENCHMARK(BM_ForwardHopMacMiss)->Arg(3)->Arg(8);
 
 // ------------------------------------------------------------- telemetry --
 
@@ -272,7 +325,7 @@ void BM_ForwardHopZeroCopyInstrumented(benchmark::State& state) {
   obs::MetricsRegistry registry;
   scion::BorderRouterConfig config;
   config.forward_latency = &registry.histogram("router.bench.forward_latency");
-  const crypto::HmacKey mac_key(fx.key);
+  scion::HopMacVerifier macs(fx.key);
   net::PacketView packet{Bytes(fx.wire)};
   (void)packet.mutable_span();
   const std::uint8_t cur_seg = 0;
@@ -280,7 +333,7 @@ void BM_ForwardHopZeroCopyInstrumented(benchmark::State& state) {
   Duration hop_latency = microseconds(180);
   const std::uint64_t allocs_before = testsupport::allocation_count();
   for (auto _ : state) {
-    const scion::HopDecision d = scion::decide_hop(packet.span(), fx.local, mac_key, config);
+    const scion::HopDecision d = scion::decide_hop(packet.span(), fx.local, macs, config);
     benchmark::DoNotOptimize(d);
     scion::patch_cursor(packet, cur_seg, cur_hop);
     config.forward_latency->record(hop_latency);

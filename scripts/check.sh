@@ -18,8 +18,11 @@
 #   scripts/check.sh --bench-smoke # plain build, then a short bench_micro run
 #                                 # of the forwarding, transport and event-core
 #                                 # benches; fails if the zero-copy hop path
-#                                 # allocates or is not faster than the legacy
-#                                 # reparse pipeline, if an exchange on a
+#                                 # allocates (hop-MAC memo hit or miss), if
+#                                 # the MAC-miss bench does not compute one
+#                                 # MAC per forward, if the hop path is not
+#                                 # faster than the legacy reparse pipeline,
+#                                 # if an exchange on a
 #                                 # connection with 10000 finished ones behind
 #                                 # it costs over 1.5x one with 10, or if a warm
 #                                 # packet-sized event or timer re-arm allocates
@@ -130,8 +133,9 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   echo "$history"
   # Contract checks, not absolute timings (CI machines vary): the zero-copy
   # pipeline must not allocate on the hop path — with or without the
-  # forward-latency histogram — and must beat legacy pkt/s; histogram
-  # recording (tagged or not) must be allocation-free too.
+  # forward-latency histogram, with a warm or a cold hop-MAC memo — and must
+  # beat legacy pkt/s; the MAC-miss bench must really miss on every forward;
+  # histogram recording (tagged or not) must be allocation-free too.
   python3 - "$out" "$history" <<'EOF'
 import json, sys
 runs = {b["name"]: b for b in json.loads(sys.argv[1])["benchmarks"]}
@@ -143,11 +147,16 @@ for hops in (3, 8):
     legacy = runs[f"BM_ForwardHopLegacy/{hops}"]
     zc = runs[f"BM_ForwardHopZeroCopy/{hops}"]
     inst = runs[f"BM_ForwardHopZeroCopyInstrumented/{hops}"]
+    miss = runs[f"BM_ForwardHopMacMiss/{hops}"]
     assert zc["allocs_per_forward"] == 0, f"zero-copy hop path allocates at {hops} hops"
+    assert miss["allocs_per_forward"] == 0, f"hop-MAC memo miss allocates at {hops} hops"
+    assert miss["macs_per_forward"] == 1, \
+        f"MAC-miss bench hit the memo at {hops} hops ({miss['macs_per_forward']:g} MACs/forward)"
     assert inst["allocs_per_forward"] == 0, \
         f"forward-latency telemetry allocates on the hop path at {hops} hops"
     ratio = zc["items_per_second"] / legacy["items_per_second"]
-    print(f"{hops} hops: zero-copy {ratio:.2f}x legacy pkt/s")
+    print(f"{hops} hops: zero-copy {ratio:.2f}x legacy pkt/s; "
+          f"memo miss {miss['items_per_second']:.3g} pkt/s, 0 allocs")
     assert ratio > 1.0, f"zero-copy slower than legacy at {hops} hops ({ratio:.2f}x)"
 for name in ("BM_HistogramRecord", "BM_HistogramRecordExemplar"):
     assert runs[name]["allocs_per_record"] == 0, f"{name} allocates per record"

@@ -30,8 +30,8 @@ using ShortMac = std::array<std::uint8_t, kShortMacSize>;
 /// Precomputed HMAC-SHA256 key: the SHA-256 midstates after absorbing the
 /// ipad and opad blocks, captured once at construction. Each mac() then costs
 /// two compressions instead of four — the forwarding key is fixed for the
-/// lifetime of a border router, so the data plane verifies every hop-field
-/// MAC through one of these. Produces bit-identical output to hmac_sha256().
+/// lifetime of a border router, so the router computes every hop-field MAC
+/// through one of these. Produces bit-identical output to hmac_sha256().
 class HmacKey {
  public:
   explicit HmacKey(std::span<const std::uint8_t> key);

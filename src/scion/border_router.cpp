@@ -15,10 +15,10 @@ enum class FieldCheck : std::uint8_t { kOk, kWrongAs, kBadMac, kExpired };
 // hops just expired, and the source must still learn about it. MAC validity
 // (path authorization) is never waived.
 FieldCheck check_hop_field(const HopField& hf, std::uint32_t origin_ts, bool is_scmp,
-                           IsdAsn local, const crypto::HmacKey& key,
+                           IsdAsn local, HopMacVerifier& macs,
                            const BorderRouterConfig& config) {
   if (hf.isd_as != local) return FieldCheck::kWrongAs;
-  if (config.verify_macs && !verify_hop_field(hf, origin_ts, key)) return FieldCheck::kBadMac;
+  if (config.verify_macs && !macs.verify(hf, origin_ts)) return FieldCheck::kBadMac;
   if (!is_scmp && config.current_unix_time != 0 &&
       origin_ts + hf.expiry_s < config.current_unix_time) {
     return FieldCheck::kExpired;
@@ -46,11 +46,12 @@ HopDecision::Action to_drop_action(FieldCheck check) {
 
 HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
                        const ForwardingKey& key, const BorderRouterConfig& config) {
-  return decide_hop(packet_bytes, local, crypto::HmacKey(key), config);
+  HopMacVerifier macs(key);
+  return decide_hop(packet_bytes, local, macs, config);
 }
 
 HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
-                       const crypto::HmacKey& key, const BorderRouterConfig& config) {
+                       HopMacVerifier& macs, const BorderRouterConfig& config) {
   const Result<ScionHeaderView> parsed = ScionHeaderView::parse(packet_bytes);
   if (!parsed.ok()) return drop(HopDecision::Action::kDropParse);
   const ScionHeaderView& view = parsed.value();
@@ -73,7 +74,7 @@ HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
 
   const bool is_scmp = view.next_proto() == kProtoScmp;
   const HopField hf = view.hop(seg, hop_idx);
-  const FieldCheck check = check_hop_field(hf, seg.origin_ts, is_scmp, local, key, config);
+  const FieldCheck check = check_hop_field(hf, seg.origin_ts, is_scmp, local, macs, config);
   if (check != FieldCheck::kOk) return drop(to_drop_action(check));
 
   const IfaceId egress = ScionHeaderView::traversal_egress(seg, hf);
@@ -109,7 +110,7 @@ HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
     return drop(HopDecision::Action::kDropMalformed);
   }
   const FieldCheck next_check =
-      check_hop_field(hop0, next_seg.origin_ts, is_scmp, local, key, config);
+      check_hop_field(hop0, next_seg.origin_ts, is_scmp, local, macs, config);
   if (next_check != FieldCheck::kOk) return drop(to_drop_action(next_check));
 
   const IfaceId next_egress = ScionHeaderView::traversal_egress(next_seg, hop0);
@@ -128,9 +129,9 @@ HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
   return d;
 }
 
-BorderRouter::BorderRouter(net::Router& router, IsdAsn local, ForwardingKey key,
+BorderRouter::BorderRouter(net::Router& router, IsdAsn local, const ForwardingKey& key,
                            BorderRouterConfig config)
-    : router_(router), local_(local), key_(std::move(key)), mac_key_(key_), config_(config) {
+    : router_(router), local_(local), macs_(key), config_(config) {
   router_.set_scion_handler(
       [this](net::Packet&& p, net::IfId in_if) { handle(std::move(p), in_if); });
 }
@@ -148,7 +149,7 @@ void BorderRouter::handle(net::Packet&& packet, net::IfId /*in_if*/) {
 BorderRouter::HopCheck BorderRouter::check_hop(const DataplaneSegment& seg,
                                                std::size_t hop_index, bool is_scmp) {
   const HopField& hf = seg.hop_at(hop_index);
-  switch (check_hop_field(hf, seg.origin_ts, is_scmp, local_, mac_key_, config_)) {
+  switch (check_hop_field(hf, seg.origin_ts, is_scmp, local_, macs_, config_)) {
     case FieldCheck::kWrongAs:
       ++stats_.drop_wrong_as;
       PAN_DEBUG(kLog) << local_.to_string() << ": hop field for " << hf.isd_as.to_string();
@@ -238,7 +239,7 @@ void BorderRouter::process(net::Packet&& packet) {
 }
 
 void BorderRouter::process_view(net::Packet&& packet) {
-  const HopDecision d = decide_hop(packet.payload.span(), local_, mac_key_, config_);
+  const HopDecision d = decide_hop(packet.payload.span(), local_, macs_, config_);
   switch (d.action) {
     case HopDecision::Action::kForward:
       if (!police_reservation(d.reservation_id, packet)) return;

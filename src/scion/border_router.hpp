@@ -2,9 +2,11 @@
 //
 // Installed as the SCION handler of an AS's legacy router node. For every
 // packet it inspects the SCION header, checks the current hop field belongs
-// to this AS, verifies the hop-field MAC against the AS forwarding key (path
-// authorization), handles segment crossovers, and either forwards out the
-// authorized egress interface or delivers to the destination host.
+// to this AS, checks the hop-field MAC the packet carries against the MAC
+// under the AS forwarding key (path authorization; each distinct hop field's
+// MAC is computed once and memoized in a HopMacVerifier), handles segment
+// crossovers, and either forwards out the authorized egress interface or
+// delivers to the destination host.
 //
 // The steady-state hop path is zero-copy and allocation-free: a lazy
 // ScionHeaderView validates bounds once, decodes only the cursor and the
@@ -95,16 +97,16 @@ struct HopDecision {
 };
 
 [[nodiscard]] HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
-                                     const crypto::HmacKey& key, const BorderRouterConfig& config);
+                                     HopMacVerifier& macs, const BorderRouterConfig& config);
 
-/// Convenience overload for tests: precomputes the HmacKey per call. The
-/// router's steady state holds one HmacKey for the router's lifetime.
+/// Convenience overload for tests: builds a cold HopMacVerifier per call. The
+/// router's steady state holds one HopMacVerifier for the router's lifetime.
 [[nodiscard]] HopDecision decide_hop(std::span<const std::uint8_t> packet_bytes, IsdAsn local,
                                      const ForwardingKey& key, const BorderRouterConfig& config);
 
 class BorderRouter {
  public:
-  BorderRouter(net::Router& router, IsdAsn local, ForwardingKey key,
+  BorderRouter(net::Router& router, IsdAsn local, const ForwardingKey& key,
                BorderRouterConfig config = {});
 
   BorderRouter(const BorderRouter&) = delete;
@@ -151,9 +153,8 @@ class BorderRouter {
 
   net::Router& router_;
   IsdAsn local_;
-  ForwardingKey key_;
-  /// Precomputed HMAC midstates for key_: halves the per-packet MAC cost.
-  crypto::HmacKey mac_key_;
+  /// The forwarding key's precomputed HMAC midstates plus the hop-MAC memo.
+  HopMacVerifier macs_;
   BorderRouterConfig config_;
   BorderRouterStats stats_;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "util/buffer.hpp"
 
@@ -12,8 +14,8 @@ namespace {
 // u32 ts + u64 isd_as + u16 min + u16 max + u32 expiry.
 using MacInput = std::array<std::uint8_t, 20>;
 
-// Stack-allocated MAC input: the hop path verifies one MAC per forwarded
-// packet, so this must not touch the heap.
+// Stack-allocated MAC input: the hop path builds one per forwarded packet,
+// so this must not touch the heap.
 MacInput mac_input(const HopField& hf, std::uint32_t origin_ts) {
   MacInput buf{};
   util::SpanWriter w(buf);
@@ -45,9 +47,37 @@ void seal_hop_field(HopField& hf, std::uint32_t origin_ts, const crypto::HmacKey
   hf.mac = key.short_mac(mac_input(hf, origin_ts));
 }
 
-bool verify_hop_field(const HopField& hf, std::uint32_t origin_ts, const crypto::HmacKey& key) {
-  const crypto::ShortMac expected = key.short_mac(mac_input(hf, origin_ts));
-  return crypto::mac_equal(expected, hf.mac);
+HopMacVerifier::HopMacVerifier(const ForwardingKey& key) : key_(key) {}
+
+bool HopMacVerifier::verify(const HopField& hf, std::uint32_t origin_ts) {
+  const MacInput input = mac_input(hf, origin_ts);
+  Slot& slot = slots_[slot_index(input)];
+  if (!slot.filled || slot.input != input) {
+    slot.input = input;
+    slot.mac = key_.short_mac(input);
+    slot.filled = true;
+    ++macs_computed_;
+  }
+  return crypto::mac_equal(slot.mac, hf.mac);
+}
+
+std::size_t HopMacVerifier::slot_of(const HopField& hf, std::uint32_t origin_ts) {
+  return slot_index(mac_input(hf, origin_ts));
+}
+
+std::size_t HopMacVerifier::slot_index(const MacInput& input) {
+  // Fibonacci hashing of the input's three words: the product's top bits
+  // depend on every input bit. Only speed depends on the hash; the full-input
+  // compare in verify() keeps the verdict independent of it.
+  static_assert(std::has_single_bit(kSlots));
+  std::uint64_t head = 0;
+  std::uint64_t mid = 0;
+  std::uint32_t tail = 0;
+  std::memcpy(&head, input.data(), sizeof head);
+  std::memcpy(&mid, input.data() + 8, sizeof mid);
+  std::memcpy(&tail, input.data() + 16, sizeof tail);
+  const std::uint64_t h = (head ^ std::rotl(mid, 29) ^ tail) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(h >> (64 - std::countr_zero(kSlots)));
 }
 
 HopField parse_hop_field(ByteReader& r) {
@@ -56,9 +86,14 @@ HopField parse_hop_field(ByteReader& r) {
   hf.in_if = r.u16();
   hf.out_if = r.u16();
   hf.expiry_s = r.u32();
-  const Bytes mac = r.raw(crypto::kShortMacSize);
-  if (mac.size() == crypto::kShortMacSize) {
-    std::copy(mac.begin(), mac.end(), hf.mac.begin());
+  // The MAC as u16 + u32: ByteReader::raw would heap-allocate, and every
+  // packet a host receives is parsed through here.
+  const std::uint16_t mac_hi = r.u16();
+  const std::uint32_t mac_lo = r.u32();
+  if (!r.failed()) {
+    util::SpanWriter w(hf.mac);
+    w.u16(mac_hi);
+    w.u32(mac_lo);
   }
   return hf;
 }

@@ -2,11 +2,14 @@
 // (lazy ScionHeaderView + in-place cursor patch) must be byte-for-byte
 // indistinguishable on the wire from the legacy eager-reparse pipeline, on
 // random topologies, across multi-hop forwards, SCMP error origination, and
-// both traversal directions. Plus the two performance contracts the refactor
-// makes: zero heap allocations on the steady-state hop path, and zero
-// signature re-verifications when re-beaconing an unchanged topology.
+// both traversal directions. Plus the performance contracts of the data
+// plane: zero heap allocations on the steady-state hop path and in a host's
+// header parse, a per-router hop-MAC memo that never changes a verdict, and
+// zero signature re-verifications when re-beaconing an unchanged topology.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,36 +141,47 @@ TEST_P(ForwardingEquivalence, ZeroCopyMatchesLegacyByteForByte) {
 
 // --------------------------------------------------- zero-allocation path --
 
-TEST(ZeroCopyDataPlane, SteadyStateHopPathDoesNotAllocate) {
-  const ForwardingKey key = from_string("zero-alloc-forwarding-key");
-  constexpr std::uint32_t kTs = 1'000'000;
-
+/// A MAC-sealed one-segment packet whose cursor sits on `transit`'s hop.
+struct SealedHop {
+  static constexpr std::uint32_t kTs = 1'000'000;
+  ForwardingKey key = from_string("transit-forwarding-key");
+  IsdAsn transit{1, 0x111};
   ScionHeader header;
-  header.src = ScionAddr{IsdAsn{1, 0x110}, net::IpAddr{7}};
-  header.dst = ScionAddr{IsdAsn{1, 0x112}, net::IpAddr{9}};
-  DataplaneSegment seg;
-  seg.origin_ts = kTs;
-  const IsdAsn transit{1, 0x111};
-  const std::array<std::array<IfaceId, 2>, 3> ifaces = {{{kNoIface, 1}, {1, 2}, {2, kNoIface}}};
-  for (int h = 0; h < 3; ++h) {
-    HopField hf;
-    hf.isd_as = h == 0 ? header.src.ia : (h == 1 ? transit : header.dst.ia);
-    hf.in_if = ifaces[static_cast<std::size_t>(h)][0];
-    hf.out_if = ifaces[static_cast<std::size_t>(h)][1];
-    hf.expiry_s = 24 * 3600;
-    seal_hop_field(hf, kTs, key);
-    seg.hops.push_back(hf);
+
+  SealedHop() {
+    header.src = ScionAddr{IsdAsn{1, 0x110}, net::IpAddr{7}};
+    header.dst = ScionAddr{IsdAsn{1, 0x112}, net::IpAddr{9}};
+    DataplaneSegment seg;
+    seg.origin_ts = kTs;
+    const std::array<IsdAsn, 3> ases = {header.src.ia, transit, header.dst.ia};
+    const std::array<std::array<IfaceId, 2>, 3> ifaces = {
+        {{kNoIface, 1}, {1, 2}, {2, kNoIface}}};
+    for (std::size_t h = 0; h < 3; ++h) {
+      HopField hf;
+      hf.isd_as = ases[h];
+      hf.in_if = ifaces[h][0];
+      hf.out_if = ifaces[h][1];
+      hf.expiry_s = 24 * 3600;
+      seal_hop_field(hf, kTs, key);
+      seg.hops.push_back(hf);
+    }
+    header.path.segments.push_back(seg);
+    header.cur_hop = 1;
   }
-  header.path.segments.push_back(seg);
-  header.cur_seg = 0;
-  header.cur_hop = 1;  // the transit AS's hop
-  const Bytes wire = serialize_scion_packet(header, from_string("steady-state payload"));
+
+  [[nodiscard]] HopField& transit_hop() { return header.path.segments[0].hops[1]; }
+  [[nodiscard]] Bytes wire() const { return serialize_scion_packet(header, from_string("x")); }
+};
+
+TEST(ZeroCopyDataPlane, SteadyStateHopPathDoesNotAllocate) {
+  SealedHop fx;
+  const Bytes wire = fx.wire();
 
   // The decision the transit router makes for this packet, forever. Routers
-  // hold a precomputed HmacKey for their forwarding key; model that here.
+  // hold one HopMacVerifier for their forwarding key; model that here.
   BorderRouterConfig config;
-  const crypto::HmacKey mac_key(key);
-  const HopDecision warm = decide_hop(wire, transit, mac_key, config);
+  HopMacVerifier macs(fx.key);
+  const HopDecision warm = decide_hop(wire, fx.transit, macs, config);
   ASSERT_EQ(warm.action, HopDecision::Action::kForward);
   EXPECT_EQ(warm.egress, 2);
   EXPECT_EQ(warm.next_hop, 2);
@@ -183,13 +197,233 @@ TEST(ZeroCopyDataPlane, SteadyStateHopPathDoesNotAllocate) {
   std::uint64_t forwards = 0;
   const std::uint64_t before = testsupport::allocation_count();
   for (int i = 0; i < 10'000; ++i) {
-    const HopDecision d = decide_hop(packet.span(), transit, mac_key, config);
+    const HopDecision d = decide_hop(packet.span(), fx.transit, macs, config);
     if (d.action == HopDecision::Action::kForward) ++forwards;
-    patch_cursor(packet, d.next_seg, header.cur_hop);  // keep cursor on our hop
+    patch_cursor(packet, d.next_seg, fx.header.cur_hop);  // keep cursor on our hop
   }
   const std::uint64_t after = testsupport::allocation_count();
   EXPECT_EQ(after, before) << "hop path allocated " << (after - before) << " times";
   EXPECT_EQ(forwards, 10'000u);
+  EXPECT_EQ(macs.macs_computed(), 1u) << "every packet after the first is a memo hit";
+}
+
+TEST(ZeroCopyDataPlane, HostHeaderParseAllocationsDoNotGrowWithHopCount) {
+  if (!testsupport::alloc_probe_active()) {
+    GTEST_SKIP() << "counting allocator disabled under sanitizers";
+  }
+  // parse_scion_packet runs on every packet a host receives. Its allocations
+  // are the segment and hop-field vectors, never one per hop field.
+  const auto allocations_to_parse = [](std::size_t hops) {
+    ScionHeader header;
+    DataplaneSegment seg;
+    seg.origin_ts = 1'000'000;
+    for (std::size_t h = 0; h < hops; ++h) {
+      HopField hf;
+      hf.isd_as = IsdAsn{1, static_cast<Asn>(0x100 + h)};
+      hf.in_if = static_cast<IfaceId>(h);
+      hf.out_if = static_cast<IfaceId>(h + 1);
+      hf.mac = {1, 2, 3, 4, 5, static_cast<std::uint8_t>(h)};
+      seg.hops.push_back(hf);
+    }
+    header.path.segments.push_back(seg);
+    const Bytes wire = serialize_scion_packet(header, from_string("payload"));
+    const std::uint64_t before = testsupport::allocation_count();
+    const Result<ParsedScionPacket> parsed = parse_scion_packet(wire);
+    const std::uint64_t allocations = testsupport::allocation_count() - before;
+    EXPECT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().header.path, header.path);
+    return allocations;
+  };
+  EXPECT_EQ(allocations_to_parse(2), allocations_to_parse(8));
+  EXPECT_EQ(allocations_to_parse(2), allocations_to_parse(32));
+}
+
+// ------------------------------------------------------- hop-MAC memo --
+
+TEST(HopMacMemo, TamperedMacOfWarmFieldDropsWithoutRecomputing) {
+  SealedHop fx;
+  HopMacVerifier macs(fx.key);
+  const BorderRouterConfig config;
+  ASSERT_EQ(decide_hop(fx.wire(), fx.transit, macs, config).action,
+            HopDecision::Action::kForward);
+  ASSERT_EQ(macs.macs_computed(), 1u);
+
+  // Same MAC input, one MAC byte flipped: the warm slot supplies the expected
+  // MAC and the packet's MAC is still compared against it.
+  fx.transit_hop().mac[3] ^= 0x01;
+  const Bytes tampered = fx.wire();
+  EXPECT_EQ(decide_hop(tampered, fx.transit, macs, config).action,
+            HopDecision::Action::kDropMac);
+  EXPECT_EQ(macs.macs_computed(), 1u) << "the tampered field must hit the warm slot";
+  // The same verdict a cold verifier reaches.
+  EXPECT_EQ(decide_hop(tampered, fx.transit, fx.key, config).action,
+            HopDecision::Action::kDropMac);
+  // The warm slot still holds the genuine MAC.
+  fx.transit_hop().mac[3] ^= 0x01;
+  EXPECT_EQ(decide_hop(fx.wire(), fx.transit, macs, config).action,
+            HopDecision::Action::kForward);
+}
+
+TEST(HopMacMemo, CollidingInputsEachVerifyAndReverifyAfterEviction) {
+  const ForwardingKey key = from_string("memo-forwarding-key");
+  const auto sealed = [&](std::uint32_t ts) {
+    HopField hf;
+    hf.isd_as = IsdAsn{1, 0x111};
+    hf.in_if = 1;
+    hf.out_if = 2;
+    hf.expiry_s = 24 * 3600;
+    seal_hop_field(hf, ts, key);
+    return hf;
+  };
+  // Two origin timestamps whose MAC inputs share a memo slot.
+  const std::uint32_t ts_a = 1'000'000;
+  const HopField a = sealed(ts_a);
+  std::uint32_t ts_b = ts_a + 1;
+  while (HopMacVerifier::slot_of(a, ts_a) != HopMacVerifier::slot_of(a, ts_b)) ++ts_b;
+  const HopField b = sealed(ts_b);
+  ASSERT_NE(a.mac, b.mac);
+
+  HopMacVerifier macs(key);
+  EXPECT_TRUE(macs.verify(a, ts_a));
+  EXPECT_TRUE(macs.verify(b, ts_b));  // evicts a
+  EXPECT_TRUE(macs.verify(a, ts_a));  // recomputed, evicts b
+  EXPECT_EQ(macs.macs_computed(), 3u);
+
+  // A MAC passes only with its own input. The slot holds a: b's input must
+  // not be served a's MAC, and a's input must not accept b's.
+  HopField b_with_a_mac = b;
+  b_with_a_mac.mac = a.mac;
+  EXPECT_FALSE(macs.verify(b_with_a_mac, ts_b));
+  EXPECT_EQ(macs.macs_computed(), 4u);
+  HopField a_with_b_mac = a;
+  a_with_b_mac.mac = b.mac;
+  EXPECT_FALSE(macs.verify(a_with_b_mac, ts_a));
+  EXPECT_TRUE(macs.verify(a, ts_a));
+  EXPECT_EQ(macs.macs_computed(), 5u);
+  EXPECT_FALSE(macs.verify(a_with_b_mac, ts_a));
+  EXPECT_EQ(macs.macs_computed(), 5u);
+}
+
+/// Counters summed over every border router of a world.
+struct RouterTotals {
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t drop_mac = 0;
+  std::uint64_t drop_expired = 0;
+  std::uint64_t scmp_sent = 0;
+  std::uint64_t drops = 0;
+
+  bool operator==(const RouterTotals&) const = default;
+  RouterTotals operator-(const RouterTotals& o) const {
+    return {forwarded - o.forwarded, delivered - o.delivered, drop_mac - o.drop_mac,
+            drop_expired - o.drop_expired, scmp_sent - o.scmp_sent, drops - o.drops};
+  }
+};
+
+/// A generated world and one path from the first leaf host to the last.
+struct MemoWorld {
+  sim::Simulator sim;
+  GeneratedTopology world;
+  HostId front;
+  HostId back;
+  DataplanePath path;
+  int delivered = 0;
+  std::vector<ScmpMessage> reports;
+  std::unique_ptr<ScionSocket> sink;
+  std::unique_ptr<ScionSocket> client;
+
+  MemoWorld() {
+    TopoGenParams params;
+    params.seed = 3;
+    world = generate_topology(sim, params);
+    Topology& topo = *world.topo;
+    front = world.hosts.front();
+    back = world.hosts.back();
+    path = topo.daemon_for(front).query_now(topo.as_of(back)).front().dataplane();
+    sink = topo.scion_stack(back).bind(
+        7000, [this](const ScionEndpoint&, const DataplanePath&, net::PacketView) {
+          ++delivered;
+        });
+    client = topo.scion_stack(front).bind(0, nullptr);
+    topo.scion_stack(front).subscribe_scmp(
+        [this](const ScmpMessage& m) { reports.push_back(m); });
+  }
+
+  void send(const DataplanePath& p) {
+    client->send_to(ScionEndpoint{world.topo->scion_addr(back), 7000}, p, from_string("m"));
+    sim.run();
+  }
+
+  [[nodiscard]] RouterTotals totals() const {
+    RouterTotals t;
+    for (const IsdAsn ia : world.topo->all_ases()) {
+      const BorderRouterStats& s = world.topo->border_router_stats(ia);
+      t.forwarded += s.forwarded;
+      t.delivered += s.delivered;
+      t.drop_mac += s.drop_mac;
+      t.drop_expired += s.drop_expired;
+      t.scmp_sent += s.scmp_sent;
+      t.drops += s.total_drops();
+    }
+    return t;
+  }
+};
+
+/// What one send did: router counter deltas, deliveries and SCMP reports.
+struct ProbeOutcome {
+  RouterTotals delta;
+  int delivered = 0;
+  std::vector<ScmpType> reports;
+};
+
+/// Builds a fresh world and, when `warm`, first sends the genuine path
+/// through it so every router on the path has its hop field memoized. Then
+/// `prepare` alters the world or a copy of the path, which is sent once.
+ProbeOutcome probe(bool warm, const std::function<void(MemoWorld&, DataplanePath&)>& prepare) {
+  MemoWorld w;
+  if (warm) {
+    w.send(w.path);
+    EXPECT_EQ(w.delivered, 1);
+  }
+  DataplanePath p = w.path;
+  prepare(w, p);
+  const RouterTotals before = w.totals();
+  const int delivered_before = w.delivered;
+  w.reports.clear();
+  w.send(p);
+  ProbeOutcome out{w.totals() - before, w.delivered - delivered_before, {}};
+  for (const ScmpMessage& m : w.reports) out.reports.push_back(m.type);
+  return out;
+}
+
+TEST(HopMacMemo, TamperedWarmHopDropsExactlyLikeColdRouter) {
+  const auto tamper = [](MemoWorld&, DataplanePath& p) {
+    p.segments.back().hops.back().mac[0] ^= 0x01;
+  };
+  const ProbeOutcome warm = probe(true, tamper);
+  const ProbeOutcome cold = probe(false, tamper);
+  EXPECT_EQ(warm.delta.drop_mac, 1u);
+  EXPECT_EQ(warm.delta.drops, 1u);
+  EXPECT_EQ(warm.delta.scmp_sent, 0u);
+  EXPECT_EQ(warm.delivered, 0);
+  EXPECT_TRUE(warm.reports.empty());
+  EXPECT_EQ(warm.delta, cold.delta);
+  EXPECT_EQ(warm.reports, cold.reports);
+}
+
+TEST(HopMacMemo, WarmHopPastExpiryDropsWithScmpLikeColdRouter) {
+  const auto expire = [](MemoWorld& w, DataplanePath&) {
+    w.world.topo->set_data_plane_time(1'000'000 + 24 * 3600 + 1);
+  };
+  const ProbeOutcome warm = probe(true, expire);
+  const ProbeOutcome cold = probe(false, expire);
+  EXPECT_EQ(warm.delta.drop_expired, 1u);
+  EXPECT_EQ(warm.delta.drop_mac, 0u);
+  EXPECT_EQ(warm.delta.scmp_sent, 1u);
+  EXPECT_EQ(warm.delivered, 0);
+  EXPECT_EQ(warm.reports, std::vector<ScmpType>{ScmpType::kExpiredHop});
+  EXPECT_EQ(warm.delta, cold.delta);
+  EXPECT_EQ(warm.reports, cold.reports);
 }
 
 // ----------------------------------------------- beacon verification memo --
