@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: crypto primitives,
 // hop-field MACs, segment verification, SCION header codec, PPL parsing and
 // evaluation, sequence matching, legacy route computation, one exchange on a
-// long-lived transport connection, and the simulator's event core.
+// long-lived transport connection, one bulk stream write, and the
+// simulator's event core.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -9,6 +10,7 @@
 #include "core/layer_model.hpp"
 #include "crypto/signature.hpp"
 #include "http/client.hpp"
+#include "http/file_server.hpp"
 #include "http/server.hpp"
 #include "net/graph.hpp"
 #include "net/packet.hpp"
@@ -398,10 +400,8 @@ class ExchangeFixture {
   transport::Conduit conduit(transport::Connection* peer) {
     transport::Conduit conduit;
     conduit.send = [this, peer](net::PacketView wire) {
-      sim_.schedule_after(milliseconds(10), [peer, bytes = Bytes(wire.span().begin(),
-                                                                 wire.span().end())] {
-        peer->on_datagram(bytes);
-      });
+      sim_.schedule_after(milliseconds(10),
+                          [peer, wire = std::move(wire)] { peer->on_datagram(wire); });
     };
     return conduit;
   }
@@ -428,6 +428,104 @@ void BM_ExchangeWithHistory(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ExchangeWithHistory)->Arg(10)->Arg(10'000);
+
+/// One direction of a 10 ms FIFO wire: datagrams queue in send order and one
+/// timer delivers each at its arrival time. However many packets are in
+/// flight, the simulator holds one event per direction, so a bulk transfer
+/// times the transport's per-byte work rather than the event heap's depth.
+class FifoWire {
+ public:
+  explicit FifoWire(sim::Simulator& sim) : sim_(sim), timer_(sim, [this] { deliver_due(); }) {}
+
+  void connect(transport::Connection& peer) { peer_ = &peer; }
+  transport::Conduit conduit() {
+    transport::Conduit conduit;
+    conduit.send = [this](net::PacketView wire) {
+      queue_.push_back({sim_.now() + kDelay, std::move(wire)});
+      if (queue_.size() - head_ == 1) timer_.arm(kDelay);
+    };
+    return conduit;
+  }
+
+ private:
+  static constexpr Duration kDelay = milliseconds(10);
+  struct InFlight {
+    TimePoint arrives;
+    net::PacketView wire;
+  };
+
+  void deliver_due() {
+    while (head_ < queue_.size() && queue_[head_].arrives <= sim_.now()) {
+      const net::PacketView wire = std::move(queue_[head_++].wire);
+      peer_->on_datagram(wire);
+    }
+    if (head_ == queue_.size()) {
+      queue_.clear();  // keeps its capacity: a warm wire does not allocate
+      head_ = 0;
+    } else {
+      timer_.arm(queue_[head_].arrives - sim_.now());
+    }
+  }
+
+  sim::Simulator& sim_;
+  sim::Timer timer_;
+  transport::Connection* peer_ = nullptr;
+  std::vector<InFlight> queue_;
+  std::size_t head_ = 0;
+};
+
+/// One stream write of range(0) bytes, FIN included, from write() until the
+/// server's reader has it all, on a warm QUIC-lite pair joined by FIFO
+/// wires. Both streams are released, so the connection does not accumulate
+/// them. The time per byte must not grow with the write's size, and a packet
+/// (data or ACK, either end) costs at most a few allocations.
+void BM_TransportBulkWrite(benchmark::State& state) {
+  sim::Simulator sim;
+  FifoWire to_server(sim);
+  FifoWire to_client(sim);
+  transport::Connection client(sim, to_server.conduit(), transport::Connection::Role::kClient, 1,
+                               {});
+  transport::Connection server(sim, to_client.conduit(), transport::Connection::Role::kServer, 1,
+                               {});
+  to_server.connect(server);
+  to_client.connect(client);
+  std::uint64_t received = 0;
+  bool fin = false;
+  server.set_on_stream([&](transport::Stream& stream) {
+    stream.set_on_data([&, s = &stream](std::span<const std::uint8_t> data, bool last) {
+      received += data.size();
+      if (!last) return;
+      fin = true;
+      s->finish();
+      s->release();
+    });
+  });
+  client.start();
+  sim.run_for(seconds(1));
+
+  const Bytes blob = http::generate_blob(static_cast<std::size_t>(state.range(0)), 3);
+  const auto packets = [&] { return client.stats().packets_sent + server.stats().packets_sent; };
+  const std::uint64_t packets_before = packets();
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  for (auto _ : state) {
+    fin = false;
+    transport::Stream& stream = client.open_stream();
+    stream.write(blob);
+    stream.finish();
+    stream.release();
+    if (!sim.run_until_condition([&] { return fin; }, sim.now() + seconds(60))) {
+      state.SkipWithError("write not delivered");
+      return;
+    }
+  }
+  const std::uint64_t allocs = testsupport::allocation_count() - allocs_before;
+  const std::uint64_t sent = packets() - packets_before;
+  benchmark::DoNotOptimize(received);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  state.counters["allocs_per_packet"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(sent));
+}
+BENCHMARK(BM_TransportBulkWrite)->Arg(30'000)->Arg(3'000'000);
 
 // ------------------------------------------------------------ sim engine --
 

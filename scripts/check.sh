@@ -24,8 +24,11 @@
 #                                 # faster than the legacy reparse pipeline,
 #                                 # if an exchange on a
 #                                 # connection with 10000 finished ones behind
-#                                 # it costs over 1.5x one with 10, or if a warm
-#                                 # packet-sized event or timer re-arm allocates
+#                                 # it costs over 1.5x one with 10, if a bulk
+#                                 # stream write costs over 3 allocations per
+#                                 # packet or its 3 MB case over 1.5x the 30 kB
+#                                 # case per byte, or if a warm packet-sized
+#                                 # event or timer re-arm allocates
 #   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
 #                                 # fleet suite + bench_fleet_scale --smoke;
 #                                 # fails on any strict downgrade, deadline
@@ -124,11 +127,14 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     --benchmark_format=json)"
   echo "$out"
   # Five repetitions: the check compares the fastest of each, which a busy
-  # neighbour on a shared machine cannot inflate.
+  # neighbour on a shared machine cannot inflate. Interleaving the
+  # repetitions keeps a slow stretch of the machine from landing on one side
+  # of a ratio only.
   history="$(./build/bench/bench_micro \
-    --benchmark_filter='ExchangeWithHistory' \
+    --benchmark_filter='ExchangeWithHistory|TransportBulkWrite' \
     --benchmark_min_time=0.1 \
     --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_format=json)"
   echo "$history"
   # Contract checks, not absolute timings (CI machines vary): the zero-copy
@@ -140,9 +146,9 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
 import json, sys
 runs = {b["name"]: b for b in json.loads(sys.argv[1])["benchmarks"]}
 fastest = {}
-for b in json.loads(sys.argv[2])["benchmarks"]:
-    if b["run_type"] == "iteration":
-        fastest[b["run_name"]] = min(fastest.get(b["run_name"], b["cpu_time"]), b["cpu_time"])
+repeated = [b for b in json.loads(sys.argv[2])["benchmarks"] if b["run_type"] == "iteration"]
+for b in repeated:
+    fastest[b["run_name"]] = min(fastest.get(b["run_name"], b["cpu_time"]), b["cpu_time"])
 for hops in (3, 8):
     legacy = runs[f"BM_ForwardHopLegacy/{hops}"]
     zc = runs[f"BM_ForwardHopZeroCopy/{hops}"]
@@ -172,6 +178,18 @@ fresh = fastest["BM_ExchangeWithHistory/10"]
 aged = fastest["BM_ExchangeWithHistory/10000"]
 print(f"exchange after 10000 finished ones: {aged / fresh:.2f}x the cost after 10")
 assert aged <= 1.5 * fresh, f"per-exchange cost grows with history ({aged / fresh:.2f}x)"
+# A stream write is copied once into a send buffer and then sliced, so its
+# cost per byte must not grow with its size (cutting frames off the front of
+# a copied write did, quadratically), and a packet costs a few allocations.
+bulk = [b for b in repeated if b["run_name"].startswith("BM_TransportBulkWrite/")]
+for b in bulk:
+    assert b["allocs_per_packet"] <= 3, \
+        f"{b['run_name']} costs {b['allocs_per_packet']:.2f} allocations per packet"
+small = fastest["BM_TransportBulkWrite/30000"] / 30_000
+large = fastest["BM_TransportBulkWrite/3000000"] / 3_000_000
+print(f"3 MB stream write: {large / small:.2f}x the cost per byte of a 30 kB one; at most "
+      f"{max(b['allocs_per_packet'] for b in bulk):.2f} allocations per packet")
+assert large <= 1.5 * small, f"per-byte write cost grows with write size ({large / small:.2f}x)"
 EOF
   echo "==> bench-smoke passed"
   exit 0

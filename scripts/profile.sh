@@ -10,6 +10,9 @@
 # instrumentation (-pg, passed as cmake -D flags, so benchmark/ itself is not
 # edited), runs `pan_bench --workload WORKLOAD` in a temporary directory so
 # gmon.out lands there, and prints the top 10 of gprof's flat profile.
+# pan_bench is linked statically: gprof samples only code linked into the
+# binary, so a dynamic libc would hide malloc, free and memmove. A build-prof/
+# configured with other flags is reconfigured.
 # WORKLOAD is one of the workload names in BENCHMARK.json; further arguments
 # go to pan_bench. gprof splits a callee's time among its callers by call
 # count, so read shared callees (SHA-256, the event heap) by their calls
@@ -27,11 +30,16 @@ cd "$(dirname "$0")/.."
 root="$(pwd)"
 build_dir="$root/build-prof"
 
-if [[ ! -f "$build_dir/CMakeCache.txt" ]]; then
+cxx_flags="-pg"
+link_flags="-pg -static"
+cache="$build_dir/CMakeCache.txt"
+if [[ ! -f "$cache" ]] ||
+   ! grep -qx "CMAKE_CXX_FLAGS:STRING=$cxx_flags" "$cache" ||
+   ! grep -qx "CMAKE_EXE_LINKER_FLAGS:STRING=$link_flags" "$cache"; then
   generator=()
-  if command -v ninja >/dev/null; then generator=(-G Ninja); fi
+  if [[ ! -f "$cache" ]] && command -v ninja >/dev/null; then generator=(-G Ninja); fi
   cmake -S benchmark -B "$build_dir" "${generator[@]}" -DCMAKE_BUILD_TYPE=Release \
-    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >&2
+    "-DCMAKE_CXX_FLAGS=$cxx_flags" "-DCMAKE_EXE_LINKER_FLAGS=$link_flags" >&2
 fi
 cmake --build "$build_dir" --parallel "$(( $(nproc) < 4 ? $(nproc) : 4 ))" >&2
 

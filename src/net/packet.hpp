@@ -33,18 +33,28 @@ namespace pan::net {
 class PacketView {
  public:
   PacketView() = default;
-  /// Adopts a byte vector (no copy, no headroom). Implicit on purpose: the
-  /// edge layers that still build Bytes hand them straight to the view.
-  PacketView(Bytes bytes)  // NOLINT(google-explicit-constructor)
-      : len_(bytes.size()), buf_(util::Buffer::adopt(std::move(bytes))) {}
+  /// Copies a byte vector into fresh storage (no headroom). Implicit on
+  /// purpose: the edge layers that still build Bytes hand them straight to
+  /// the view.
+  PacketView(const Bytes& bytes)  // NOLINT(google-explicit-constructor)
+      : PacketView(copy_of(bytes)) {}
+
+  /// A view of a tight copy of `bytes` (empty bytes get no storage).
+  [[nodiscard]] static PacketView copy_of(std::span<const std::uint8_t> bytes) {
+    PacketView v;
+    if (bytes.empty()) return v;
+    v.buf_ = util::Buffer::copy_of(bytes);
+    v.len_ = narrow(bytes.size());
+    return v;
+  }
 
   /// Allocates storage with `headroom` bytes reserved in front of a
   /// writable `length`-byte data region.
   [[nodiscard]] static PacketView with_headroom(std::size_t headroom, std::size_t length) {
     PacketView v;
     v.buf_ = util::Buffer(headroom + length);
-    v.off_ = headroom;
-    v.len_ = length;
+    v.off_ = narrow(headroom);
+    v.len_ = narrow(length);
     return v;
   }
 
@@ -65,15 +75,15 @@ class PacketView {
   /// Shrinks the view to its first `new_len` bytes (after serializing into
   /// an over-allocated region).
   void truncate(std::size_t new_len) {
-    if (new_len < len_) len_ = new_len;
+    if (new_len < len_) len_ = narrow(new_len);
   }
 
   /// Grows the view `n` bytes into the headroom and returns a writable span
   /// over the newly exposed front (the prepended header region).
   [[nodiscard]] std::span<std::uint8_t> prepend(std::size_t n) {
     assert(off_ >= n);
-    off_ -= n;
-    len_ += n;
+    off_ -= narrow(n);
+    len_ += narrow(n);
     return {buf_.mutable_data() + off_, n};
   }
 
@@ -82,8 +92,8 @@ class PacketView {
     assert(offset + length <= len_);
     PacketView v;
     v.buf_ = buf_;
-    v.off_ = off_ + offset;
-    v.len_ = length;
+    v.off_ = off_ + narrow(offset);
+    v.len_ = narrow(length);
     return v;
   }
   [[nodiscard]] PacketView subview(std::size_t offset) const {
@@ -103,8 +113,15 @@ class PacketView {
   }
 
  private:
-  std::size_t off_ = 0;
-  std::size_t len_ = 0;
+  // 32-bit offset and length keep a view at four words, so a whole Packet
+  // still fits a simulator event's inline storage.
+  [[nodiscard]] static std::uint32_t narrow(std::size_t n) {
+    assert(n <= UINT32_MAX);
+    return static_cast<std::uint32_t>(n);
+  }
+
+  std::uint32_t off_ = 0;
+  std::uint32_t len_ = 0;
   util::Buffer buf_;
 };
 

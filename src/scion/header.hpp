@@ -61,11 +61,12 @@ struct ScionHeader {
   std::uint8_t cur_hop = 0;
 };
 
-/// Writes the header (no payload). Templated over the writer so the growing
-/// (ByteWriter) and headroom-prepend (util::SpanWriter) paths emit
-/// byte-identical output from one definition.
+/// Writes the header (no payload) with `path` in place of `header.path`, so
+/// a sender need not copy its path into the header. Templated over the
+/// writer so the growing (ByteWriter) and headroom-prepend
+/// (util::SpanWriter) paths emit byte-identical output from one definition.
 template <typename Writer>
-void write_scion_header(Writer& w, const ScionHeader& header) {
+void write_scion_header(Writer& w, const ScionHeader& header, const DataplanePath& path) {
   w.u8(kScionMagic);
   w.u8(header.cur_seg);
   w.u8(header.cur_hop);
@@ -77,8 +78,8 @@ void write_scion_header(Writer& w, const ScionHeader& header) {
   w.u16(header.src_port);
   w.u16(header.dst_port);
   w.u32(header.reservation_id);
-  w.u8(static_cast<std::uint8_t>(header.path.segments.size()));
-  for (const DataplaneSegment& seg : header.path.segments) {
+  w.u8(static_cast<std::uint8_t>(path.segments.size()));
+  for (const DataplaneSegment& seg : path.segments) {
     w.u8(seg.reversed ? 1 : 0);
     w.u32(seg.origin_ts);
     w.u8(static_cast<std::uint8_t>(seg.hops.size()));
@@ -86,6 +87,12 @@ void write_scion_header(Writer& w, const ScionHeader& header) {
       serialize_hop_field(w, hf);
     }
   }
+}
+
+/// Writes the header (no payload), path included.
+template <typename Writer>
+void write_scion_header(Writer& w, const ScionHeader& header) {
+  write_scion_header(w, header, header.path);
 }
 
 /// Serializes header + payload into one buffer.

@@ -49,7 +49,6 @@ void ScionStack::send(std::uint16_t src_port, const ScionEndpoint& dst,
   header.src_port = src_port;
   header.dst_port = dst.port;
   header.reservation_id = reservation;
-  header.path = path;
   header.cur_seg = 0;
   header.cur_hop = 0;
 
@@ -60,16 +59,17 @@ void ScionStack::send(std::uint16_t src_port, const ScionEndpoint& dst,
   packet.src_port = src_port;
   packet.dst_port = dst.port;
 
-  const std::size_t header_size = scion_header_size(header.path);
+  const std::size_t header_size = scion_header_size(path);
   if (payload.headroom() >= header_size) {
     // Zero-copy fast path: the transport serialized its frame into a buffer
-    // with SCION headroom reserved, so the header is written in place right
-    // in front of the datagram.
+    // with SCION headroom reserved, so the header (with the caller's path,
+    // not a copy of it) is written in place right in front of the datagram.
     util::SpanWriter w(payload.prepend(header_size));
-    write_scion_header(w, header);
+    write_scion_header(w, header, path);
     assert(!w.failed() && w.remaining() == 0);
     packet.payload = std::move(payload);
   } else {
+    header.path = path;
     packet.payload = serialize_scion_packet(header, payload.span());
   }
   ++sent_;

@@ -28,7 +28,9 @@ void Stream::write(std::span<const std::uint8_t> data) {
   if (broken_ || fin_queued_) return;
   Chunk chunk;
   chunk.offset = next_send_offset_;
-  chunk.data.assign(data.begin(), data.end());
+  // The one copy into the send buffer: frames and retransmission records
+  // are slices of it.
+  chunk.data = net::PacketView::copy_of(data);
   next_send_offset_ += data.size();
   pending_.push_back(std::move(chunk));
   conn_.enqueue(*this);
@@ -81,36 +83,33 @@ void Stream::on_stream_frame(const StreamFrame& frame) {
   if (frame.fin) {
     fin_offset_ = frame.offset + frame.data.size();
   }
-  if (!frame.data.empty() && frame.offset + frame.data.size() > next_recv_offset_) {
+  if (reassembly_.empty() && frame.offset <= next_recv_offset_ && (on_data_ || released_)) {
+    // In order with nothing buffered: read in place from the datagram.
+    deliver_fresh(frame.offset, frame.data.span());
+  } else if (!frame.data.empty() && frame.offset + frame.data.size() > next_recv_offset_) {
     reassembly_[frame.offset] = frame.data;
   }
   flush_reassembly();
+}
+
+void Stream::deliver_fresh(std::uint64_t offset, std::span<const std::uint8_t> data) {
+  if (offset + data.size() <= next_recv_offset_) return;  // duplicate, consumed silently
+  const auto fresh = data.subspan(static_cast<std::size_t>(next_recv_offset_ - offset));
+  next_recv_offset_ += fresh.size();
+  const bool fin_now = next_recv_offset_ == fin_offset_;
+  if (fin_now) fin_delivered_ = true;
+  deliver(fresh, fin_now);
 }
 
 void Stream::flush_reassembly() {
   // A released stream has no reader but still drains up to the peer's FIN,
   // which finishes its receive side.
   if ((!on_data_ && !released_) || broken_) return;
-  for (;;) {
-    const auto it = reassembly_.begin();
-    bool delivered = false;
-    if (it != reassembly_.end() && it->first <= next_recv_offset_) {
-      const std::uint64_t offset = it->first;
-      Bytes data = std::move(it->second);
-      reassembly_.erase(it);
-      if (offset + data.size() > next_recv_offset_) {
-        const std::size_t skip = static_cast<std::size_t>(next_recv_offset_ - offset);
-        const std::span<const std::uint8_t> fresh(data.data() + skip, data.size() - skip);
-        next_recv_offset_ += fresh.size();
-        const bool fin_now = next_recv_offset_ == fin_offset_;
-        if (fin_now) fin_delivered_ = true;
-        deliver(fresh, fin_now);
-        delivered = true;
-      } else {
-        delivered = true;  // fully duplicate chunk, consumed silently
-      }
-    }
-    if (!delivered || fin_delivered_) break;
+  while (!reassembly_.empty() && reassembly_.begin()->first <= next_recv_offset_) {
+    // Out of the map before the reader runs: it may re-enter (release()).
+    const auto node = reassembly_.extract(reassembly_.begin());
+    deliver_fresh(node.key(), node.mapped().span());
+    if (fin_delivered_) break;
   }
   // Pure FIN (no trailing data).
   if (!fin_delivered_ && next_recv_offset_ == fin_offset_) {
@@ -172,21 +171,18 @@ void Connection::start() {
 }
 
 void Connection::send_hello(std::uint8_t round) {
-  TransportPacket packet;
-  packet.kind = config_.kind;
-  packet.type = role_ == Role::kClient ? PacketType::kInitial : PacketType::kHandshake;
-  packet.conn_id = conn_id_;
   HelloFrame hello;
   hello.reply = role_ == Role::kServer;
   hello.round = round;
   hello.alpn = config_.alpn;
-  packet.frames.emplace_back(hello);
+  begin_packet(role_ == Role::kClient ? PacketType::kInitial : PacketType::kHandshake)
+      .frames.emplace_back(std::move(hello));
 
   SentPacket record;
   record.hello = true;
   record.hello_round = round;
   record.ack_eliciting = true;
-  send_packet(std::move(packet), std::move(record));
+  send_packet(std::move(record));
 }
 
 void Connection::establish() {
@@ -230,14 +226,17 @@ void Connection::enqueue(Stream& stream) {
   ready_.insert(at, &stream);
 }
 
-void Connection::requeue(SentChunkRef& ref) {
+void Connection::requeue(const SentChunkRef& ref) {
   Stream* target = stream(ref.stream_id);
   if (target == nullptr) return;
   --target->unacked_chunks_;
   if (target->broken_) return;
   Stream::Chunk chunk;
   chunk.offset = ref.offset;
-  chunk.data = std::move(ref.data);
+  // A tight copy, not the shared slice: a lost packet can wait long for its
+  // retransmission (a connection idles 30 s after its client is gone), and
+  // a slice would keep the whole write's buffer alive until then.
+  chunk.data = net::PacketView::copy_of(ref.data.span());
   chunk.fin = ref.fin;
   target->pending_.push_front(std::move(chunk));
   enqueue(*target);
@@ -287,14 +286,8 @@ void Connection::mark_retired(std::uint32_t id) {
 void Connection::close(const std::string& reason) {
   if (state_ == State::kClosed) return;
   if (state_ != State::kIdle && conduit_.send) {
-    TransportPacket packet;
-    packet.kind = config_.kind;
-    packet.type = PacketType::kData;
-    packet.conn_id = conn_id_;
-    packet.packet_number = next_pn_++;
-    packet.frames.emplace_back(CloseFrame{reason});
-    ++stats_.packets_sent;
-    conduit_.send(serialize_packet_view(packet, conduit_.headroom));
+    begin_packet(PacketType::kData).frames.emplace_back(CloseFrame{reason});
+    conduit_.send(serialize_tx());
   }
   state_ = State::kClosed;
   ack_timer_.cancel();
@@ -331,30 +324,42 @@ void Connection::on_path_migrated() {
   retransmit_all_outstanding();
 }
 
-void Connection::on_datagram(std::span<const std::uint8_t> data) {
+void Connection::on_datagram(const net::PacketView& data) {
   if (state_ == State::kClosed) return;
-  auto parsed = parse_packet(data);
+  const Status parsed = parse_packet_into(data, rx_);
   if (!parsed.ok()) {
     PAN_DEBUG(kLog) << "conn " << conn_id_ << ": " << parsed.error();
     return;
   }
-  const TransportPacket& packet = parsed.value();
+  on_packet(rx_, data.size());
+  rx_.frames.clear();
+}
+
+void Connection::on_packet(const TransportPacket& packet, std::size_t wire_size) {
+  if (state_ == State::kClosed) return;
   if (packet.kind != config_.kind || packet.conn_id != conn_id_) return;
+  // Conduit::send is asynchronous, so no callback below can feed this
+  // connection another datagram (which would reuse rx_ under our feet).
+  assert(!receiving_ && "Conduit::send must deliver asynchronously");
+  receiving_ = true;
 
   ++stats_.packets_received;
-  stats_.bytes_received += data.size();
+  stats_.bytes_received += wire_size;
   idle_timer_.arm(config_.idle_timeout);
 
   bool ack_eliciting = false;
   for (const Frame& frame : packet.frames) {
     process_frame(frame, &ack_eliciting);
-    if (state_ == State::kClosed) return;
+    if (state_ == State::kClosed) break;
   }
-  record_received(packet.packet_number, ack_eliciting);
-  pump();
-  // Every frame is processed and no stream callback is running: a safe point
-  // to free finished streams.
-  retire_streams();
+  if (state_ != State::kClosed) {
+    record_received(packet.packet_number, ack_eliciting);
+    pump();
+    // Every frame is processed and no stream callback is running: a safe
+    // point to free finished streams.
+    retire_streams();
+  }
+  receiving_ = false;
 }
 
 void Connection::process_frame(const Frame& frame, bool* ack_eliciting) {
@@ -400,7 +405,12 @@ void Connection::process_ack(const AckFrame& ack) {
   TimePoint largest_sent_at;
   std::vector<std::uint64_t> lost;
 
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+  // A packet above every acked range is neither acked nor lost (a loss needs
+  // a larger pn acked), so the walk stops there: an ACK costs what it acks,
+  // not the whole flight.
+  std::uint64_t top = 0;
+  for (const AckRange& range : ack.ranges) top = std::max(top, range.last);
+  for (auto it = in_flight_.begin(); it != in_flight_.end() && it->first <= top;) {
     const std::uint64_t pn = it->first;
     if (ack.contains(pn)) {
       ++stats_.packets_acked;
@@ -478,7 +488,7 @@ void Connection::declare_lost(std::uint64_t pn, SentPacket&& packet) {
     return;
   }
   // Re-queue the chunks at the front of their streams.
-  for (SentChunkRef& ref : packet.chunks) requeue(ref);
+  for (const SentChunkRef& ref : packet.chunks) requeue(ref);
 }
 
 void Connection::retransmit_all_outstanding() {
@@ -534,10 +544,7 @@ void Connection::note_awaiting_response() {
 void Connection::on_keep_alive() {
   if (state_ == State::kClosed || !awaiting_response()) return;  // stop probing
   if (state_ == State::kEstablished) {
-    TransportPacket packet;
-    packet.kind = config_.kind;
-    packet.type = PacketType::kData;
-    packet.conn_id = conn_id_;
+    TransportPacket& packet = begin_packet(PacketType::kData);
     packet.frames.emplace_back(PingFrame{});
     if (ack_pending_) {
       packet.frames.emplace_back(build_ack());
@@ -547,7 +554,7 @@ void Connection::on_keep_alive() {
     }
     SentPacket record;
     record.ack_eliciting = true;
-    send_packet(std::move(packet), std::move(record));
+    send_packet(std::move(record));
   }
   keep_alive_timer_.arm(config_.keep_alive);
 }
@@ -610,37 +617,46 @@ void Connection::record_received(std::uint64_t pn, bool ack_eliciting) {
 
 AckFrame Connection::build_ack() const {
   AckFrame ack;
-  ack.ranges = recv_ranges_;
+  ack.ranges.assign(recv_ranges_);
   return ack;
 }
 
 void Connection::maybe_send_pure_ack() {
   if (!ack_pending_ || state_ == State::kClosed) return;
-  TransportPacket packet;
-  packet.kind = config_.kind;
-  packet.type = PacketType::kData;
-  packet.conn_id = conn_id_;
-  packet.packet_number = next_pn_++;
-  packet.frames.emplace_back(build_ack());
+  begin_packet(PacketType::kData).frames.emplace_back(build_ack());
   ack_pending_ = false;
   ack_eliciting_since_ack_ = 0;
   ack_timer_.cancel();
-  ++stats_.packets_sent;
-  net::PacketView wire = serialize_packet_view(packet, conduit_.headroom);
+  net::PacketView wire = serialize_tx();
   stats_.bytes_sent += wire.size();
   if (conduit_.send) conduit_.send(std::move(wire));
 }
 
-void Connection::send_packet(TransportPacket packet, SentPacket record) {
-  packet.packet_number = next_pn_++;
-  net::PacketView wire = serialize_packet_view(packet, conduit_.headroom);
+TransportPacket& Connection::begin_packet(PacketType type) {
+  tx_.kind = config_.kind;
+  tx_.type = type;
+  tx_.conn_id = conn_id_;
+  tx_.frames.clear();
+  return tx_;
+}
+
+net::PacketView Connection::serialize_tx() {
+  tx_.packet_number = next_pn_++;
+  net::PacketView wire = serialize_packet_view(tx_, conduit_.headroom);
+  tx_.frames.clear();
+  ++stats_.packets_sent;
+  return wire;
+}
+
+void Connection::send_packet(SentPacket record) {
+  const std::uint64_t pn = next_pn_;
+  net::PacketView wire = serialize_tx();
   record.sent_at = sim_.now();
   record.size = wire.size();
-  ++stats_.packets_sent;
   stats_.bytes_sent += wire.size();
   if (record.ack_eliciting) {
     bytes_in_flight_ += record.size;
-    in_flight_[packet.packet_number] = std::move(record);
+    in_flight_.emplace_hint(in_flight_.end(), pn, std::move(record));  // pn is the largest
     arm_pto();
   }
   if (conduit_.send) conduit_.send(std::move(wire));
@@ -655,10 +671,7 @@ void Connection::pump() {
     if (budget < packet_header_size() + kAckReserve + stream_frame_overhead() + 1) break;
     budget -= packet_header_size() + kAckReserve;
 
-    TransportPacket packet;
-    packet.kind = config_.kind;
-    packet.type = PacketType::kData;
-    packet.conn_id = conn_id_;
+    TransportPacket& packet = begin_packet(PacketType::kData);
     SentPacket record;
 
     bool any = false;
@@ -684,9 +697,9 @@ void Connection::pump() {
           ready_.erase(at);
         }
       } else {
-        frame.data.assign(chunk.data.begin(),
-                          chunk.data.begin() + static_cast<std::ptrdiff_t>(room));
-        chunk.data.erase(chunk.data.begin(), chunk.data.begin() + static_cast<std::ptrdiff_t>(room));
+        // Cut the frame off the front of the chunk: two views, no copy.
+        frame.data = chunk.data.subview(0, room);
+        chunk.data = chunk.data.subview(room);
         chunk.offset += room;
       }
       budget -= stream_frame_overhead() + frame.data.size();
@@ -705,7 +718,7 @@ void Connection::pump() {
       ack_timer_.cancel();
     }
     record.ack_eliciting = true;
-    send_packet(std::move(packet), std::move(record));
+    send_packet(std::move(record));
   }
 }
 

@@ -100,12 +100,16 @@ class Stream final : public Bytestream {
 
   struct Chunk {
     std::uint64_t offset = 0;
-    Bytes data;
+    /// A slice of the write's buffer; a tight copy once re-queued.
+    net::PacketView data;
     bool fin = false;
   };
 
   void on_stream_frame(const StreamFrame& frame);
   void flush_reassembly();
+  /// Delivers the part of `data` (stream bytes starting at `offset`, which
+  /// must not be past next_recv_offset_) the reader has not had yet.
+  void deliver_fresh(std::uint64_t offset, std::span<const std::uint8_t> data);
   /// Hands received bytes to the reader, unless the stream was released.
   void deliver(std::span<const std::uint8_t> data, bool fin);
   void mark_broken();
@@ -127,8 +131,9 @@ class Stream final : public Bytestream {
   bool fin_queued_ = false;
   bool queued_ = false;  // in the connection's ready queue
 
-  // Receive side.
-  std::map<std::uint64_t, Bytes> reassembly_;
+  // Receive side. Out-of-order data only, as sub-views of their datagrams;
+  // in-order data go straight from the datagram to the reader.
+  std::map<std::uint64_t, net::PacketView> reassembly_;
   std::uint64_t next_recv_offset_ = 0;
   std::uint64_t fin_offset_ = UINT64_MAX;
   bool fin_delivered_ = false;
@@ -185,7 +190,11 @@ class Connection {
   void start();
 
   /// Feeds an incoming datagram (from the socket/demux layer).
-  void on_datagram(std::span<const std::uint8_t> data);
+  void on_datagram(const net::PacketView& data);
+  /// Feeds an already parsed datagram of `wire_size` bytes (a server demux
+  /// parses once to find the connection). Views in `packet` need only live
+  /// for the call.
+  void on_packet(const TransportPacket& packet, std::size_t wire_size);
 
   /// Opens a locally initiated bidirectional stream. TCP-lite connections
   /// allow exactly one. Streams are owned by the connection.
@@ -225,7 +234,7 @@ class Connection {
   struct SentChunkRef {
     std::uint32_t stream_id = 0;
     std::uint64_t offset = 0;
-    Bytes data;
+    net::PacketView data;  // shares the frame's slice, for retransmission
     bool fin = false;
   };
   struct SentPacket {
@@ -243,7 +252,7 @@ class Connection {
   /// Puts a stream with pending chunks into the ready queue (once).
   void enqueue(Stream& stream);
   /// Re-queues a sent chunk at the front of its stream (loss, go-back-n).
-  void requeue(SentChunkRef& ref);
+  void requeue(const SentChunkRef& ref);
   /// Remembers a stream that may have become retirable.
   void note_retirable(Stream& stream);
   /// Erases the retirable streams noted since the last call. Only called
@@ -265,7 +274,12 @@ class Connection {
   void record_received(std::uint64_t pn, bool ack_eliciting);
   [[nodiscard]] AckFrame build_ack() const;
   void maybe_send_pure_ack();
-  void send_packet(TransportPacket packet, SentPacket record);
+  /// Clears tx_ for a new packet of `type` and returns it.
+  TransportPacket& begin_packet(PacketType type);
+  /// Serializes tx_ with the next packet number, then clears its frames.
+  [[nodiscard]] net::PacketView serialize_tx();
+  /// Sends tx_, tracking it as in flight when `record` is ack-eliciting.
+  void send_packet(SentPacket record);
   [[nodiscard]] Duration pto_interval() const;
   void arm_pto();
   [[nodiscard]] std::size_t bytes_in_flight() const { return bytes_in_flight_; }
@@ -295,6 +309,14 @@ class Connection {
   // of id / 2: a late frame for one is dropped instead of re-opening it.
   // Peer frames may arrive out of order, so "id <= highest seen" would not do.
   std::array<std::vector<std::pair<std::uint32_t, std::uint32_t>>, 2> retired_;
+
+  // Scratch packets, reused so building or parsing one does not allocate.
+  // Their frames are cleared after each use, so no view outlives its
+  // datagram. Conduit::send delivers asynchronously, so neither is ever in
+  // use twice at once.
+  TransportPacket tx_;
+  TransportPacket rx_;
+  bool receiving_ = false;
 
   // Packet number spaces (single space for simplicity).
   std::uint64_t next_pn_ = 1;

@@ -29,7 +29,7 @@ void write_frame(Writer& w, const Frame& frame) {
     w.u32(stream->stream_id);
     w.u64(stream->offset);
     w.u8(stream->fin ? 1 : 0);
-    w.lp_bytes(stream->data);
+    w.lp_bytes(stream->data.span());
   } else if (const auto* ack = std::get_if<AckFrame>(&frame)) {
     w.u8(static_cast<std::uint8_t>(FrameType::kAck));
     w.u8(static_cast<std::uint8_t>(ack->ranges.size()));
@@ -72,44 +72,47 @@ void write_packet(Writer& w, const TransportPacket& packet) {
   }
 }
 
-Result<Frame> read_frame(ByteReader& r) {
+/// Reads one frame of `data` into `out`. STREAM data become a sub-view of
+/// `data`; a truncated frame leaves `r` failed.
+Status read_frame(ByteReader& r, const net::PacketView& data, Frame& out) {
   const auto type = static_cast<FrameType>(r.u8());
   switch (type) {
     case FrameType::kHello: {
-      HelloFrame f;
+      HelloFrame& f = out.emplace<HelloFrame>();
       f.reply = r.u8() != 0;
       f.round = r.u8();
       f.alpn = r.lp_str();
-      return Frame{f};
+      return {};
     }
     case FrameType::kStream: {
-      StreamFrame f;
+      StreamFrame& f = out.emplace<StreamFrame>();
       f.stream_id = r.u32();
       f.offset = r.u64();
       f.fin = r.u8() != 0;
-      f.data = r.lp_bytes();
-      return Frame{std::move(f)};
+      const std::uint16_t len = r.u16();
+      const std::size_t at = r.position();
+      r.skip(len);
+      if (!r.failed()) f.data = data.subview(at, len);
+      return {};
     }
     case FrameType::kAck: {
-      AckFrame f;
+      AckFrame& f = out.emplace<AckFrame>();
       const std::uint8_t n = r.u8();
       if (n > kMaxAckRanges) return Err("too many ack ranges");
-      f.ranges.reserve(n);
       for (std::uint8_t i = 0; i < n; ++i) {
         AckRange range;
         range.first = r.u64();
         range.last = r.u64();
         f.ranges.push_back(range);
       }
-      return Frame{std::move(f)};
+      return {};
     }
-    case FrameType::kClose: {
-      CloseFrame f;
-      f.reason = r.lp_str();
-      return Frame{std::move(f)};
-    }
+    case FrameType::kClose:
+      out.emplace<CloseFrame>().reason = r.lp_str();
+      return {};
     case FrameType::kPing:
-      return Frame{PingFrame{}};
+      out.emplace<PingFrame>();
+      return {};
   }
   return Err("unknown frame type " + std::to_string(static_cast<int>(type)));
 }
@@ -154,24 +157,36 @@ net::PacketView serialize_packet_view(const TransportPacket& packet, std::size_t
   return view;
 }
 
-Result<TransportPacket> parse_packet(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  TransportPacket packet;
+Status parse_packet_into(const net::PacketView& data, TransportPacket& out) {
+  out.frames.clear();
+  ByteReader r(data.span());
   const std::uint8_t kind = r.u8();
   if (kind != static_cast<std::uint8_t>(TransportKind::kQuicLite) &&
       kind != static_cast<std::uint8_t>(TransportKind::kTcpLite)) {
     return Err("bad transport magic");
   }
-  packet.kind = static_cast<TransportKind>(kind);
-  packet.type = static_cast<PacketType>(r.u8());
-  packet.conn_id = r.u64();
-  packet.packet_number = r.u64();
+  out.kind = static_cast<TransportKind>(kind);
+  out.type = static_cast<PacketType>(r.u8());
+  out.conn_id = r.u64();
+  out.packet_number = r.u64();
   while (!r.failed() && r.remaining() > 0) {
-    auto frame = read_frame(r);
-    if (!frame.ok()) return Err(frame.error());
-    packet.frames.push_back(std::move(frame).take());
+    Status frame = read_frame(r, data, out.frames.emplace_back());
+    if (!frame.ok()) {
+      out.frames.clear();
+      return frame;
+    }
   }
-  if (r.failed()) return Err("truncated transport packet");
+  if (r.failed()) {
+    out.frames.clear();
+    return Err("truncated transport packet");
+  }
+  return {};
+}
+
+Result<TransportPacket> parse_packet(std::span<const std::uint8_t> data) {
+  TransportPacket packet;
+  Status parsed = parse_packet_into(net::PacketView::copy_of(data), packet);
+  if (!parsed.ok()) return Err(parsed.error());
   return packet;
 }
 

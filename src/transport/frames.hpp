@@ -7,7 +7,11 @@
 // CLOSE, PING.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -35,7 +39,9 @@ struct StreamFrame {
   std::uint32_t stream_id = 0;
   std::uint64_t offset = 0;
   bool fin = false;
-  Bytes data;
+  /// A slice of the sender's write buffer, or of the received datagram:
+  /// stream bytes are copied only onto the wire.
+  net::PacketView data;
 };
 
 struct AckRange {
@@ -43,17 +49,45 @@ struct AckRange {
   std::uint64_t last = 0;   // inclusive
 };
 
+inline constexpr std::size_t kMaxAckRanges = 16;
+
+/// At most kMaxAckRanges ranges, stored inline so an ACK frame costs no
+/// allocation to build or parse.
+class AckRanges {
+ public:
+  AckRanges() = default;
+  AckRanges(std::initializer_list<AckRange> ranges) { assign(ranges); }
+
+  /// Replaces the contents with the first kMaxAckRanges of `ranges`.
+  void assign(std::span<const AckRange> ranges) {
+    size_ = static_cast<std::uint8_t>(std::min(ranges.size(), kMaxAckRanges));
+    std::copy_n(ranges.begin(), size_, items_.begin());
+  }
+  /// No-op when full.
+  void push_back(const AckRange& range) {
+    if (size_ < kMaxAckRanges) items_[size_++] = range;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const AckRange& front() const { return items_[0]; }
+  [[nodiscard]] const AckRange* begin() const { return items_.data(); }
+  [[nodiscard]] const AckRange* end() const { return items_.data() + size_; }
+
+ private:
+  std::array<AckRange, kMaxAckRanges> items_{};
+  std::uint8_t size_ = 0;
+};
+
 struct AckFrame {
-  /// Ranges in descending order of packet number, at most kMaxAckRanges.
-  std::vector<AckRange> ranges;
+  /// Ranges in descending order of packet number.
+  AckRanges ranges;
 
   [[nodiscard]] std::uint64_t largest() const {
     return ranges.empty() ? 0 : ranges.front().last;
   }
   [[nodiscard]] bool contains(std::uint64_t pn) const;
 };
-
-inline constexpr std::size_t kMaxAckRanges = 16;
 
 struct CloseFrame {
   std::string reason;
@@ -72,6 +106,11 @@ struct TransportPacket {
 };
 
 [[nodiscard]] Bytes serialize_packet(const TransportPacket& packet);
+
+/// Parses `data` into `out`, reusing its frame storage. STREAM frame data
+/// are sub-views of `data` (no copy). On failure `out` holds no frames.
+[[nodiscard]] Status parse_packet_into(const net::PacketView& data, TransportPacket& out);
+/// parse_packet_into over a copy of `data`, for tests and fuzzing.
 [[nodiscard]] Result<TransportPacket> parse_packet(std::span<const std::uint8_t> data);
 
 /// Exact wire size serialize_packet would produce (for pre-sizing buffers).

@@ -24,7 +24,7 @@ ScionTransportClient::ScionTransportClient(scion::ScionStack& stack,
   socket_ = stack.bind(0, [this](const scion::ScionEndpoint& /*from*/,
                                  const scion::DataplanePath& /*reply*/,
                                  net::PacketView payload) {
-    conn_->on_datagram(payload.span());
+    conn_->on_datagram(payload);
   });
   conn_ = std::make_unique<Connection>(stack.host().simulator(), make_conduit(),
                                        Connection::Role::kClient, next_conn_id(), config);
@@ -60,15 +60,15 @@ ScionTransportServer::ScionTransportServer(scion::ScionStack& stack, std::uint16
 void ScionTransportServer::on_datagram(const scion::ScionEndpoint& from,
                                        const scion::DataplanePath& reply_path,
                                        net::PacketView payload) {
-  auto parsed = parse_packet(payload.span());
-  if (!parsed.ok()) {
+  // Parsed once: the connection takes the packet as is.
+  if (!parse_packet_into(payload, rx_).ok()) {
     PAN_DEBUG(kLog) << "undecodable SCION datagram from " << from.to_string();
     return;
   }
-  const std::uint64_t conn_id = parsed.value().conn_id;
+  const std::uint64_t conn_id = rx_.conn_id;
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
-    if (parsed.value().type != PacketType::kInitial) return;
+    if (rx_.type != PacketType::kInitial) return;
     reap_closed();
     PeerState state;
     state.from = from;
@@ -99,7 +99,8 @@ void ScionTransportServer::on_datagram(const scion::ScionEndpoint& from,
       it->second.conn->on_path_migrated();
     }
   }
-  it->second.conn->on_datagram(payload.span());
+  it->second.conn->on_packet(rx_, payload.size());
+  rx_.frames.clear();
 }
 
 void ScionTransportServer::reap_closed() {

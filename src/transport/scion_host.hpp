@@ -60,6 +60,7 @@ class ScionTransportServer {
   AcceptFn on_accept_;
   std::unique_ptr<scion::ScionSocket> socket_;
   std::unordered_map<std::uint64_t, PeerState> conns_;
+  TransportPacket rx_;  // parse scratch, frames cleared after each datagram
 };
 
 /// Largest transport datagram that fits the path MTU once the SCION header

@@ -16,7 +16,7 @@ std::uint64_t next_conn_id() {
 UdpTransportClient::UdpTransportClient(net::Host& host, net::Endpoint server,
                                        TransportConfig config) {
   socket_ = host.udp_bind(0, [this](const net::Endpoint& /*from*/, net::PacketView payload) {
-    conn_->on_datagram(payload.span());
+    conn_->on_datagram(payload);
   });
   Conduit conduit;
   conduit.max_payload = 1200;
@@ -36,15 +36,15 @@ UdpTransportServer::UdpTransportServer(net::Host& host, std::uint16_t port,
 }
 
 void UdpTransportServer::on_datagram(const net::Endpoint& from, net::PacketView payload) {
-  auto parsed = parse_packet(payload.span());
-  if (!parsed.ok()) {
+  // Parsed once: the connection takes the packet as is.
+  if (!parse_packet_into(payload, rx_).ok()) {
     PAN_DEBUG(kLog) << "undecodable datagram from " << from.to_string();
     return;
   }
-  const std::uint64_t conn_id = parsed.value().conn_id;
+  const std::uint64_t conn_id = rx_.conn_id;
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
-    if (parsed.value().type != PacketType::kInitial) {
+    if (rx_.type != PacketType::kInitial) {
       PAN_DEBUG(kLog) << "non-initial packet for unknown conn " << conn_id;
       return;
     }
@@ -59,7 +59,8 @@ void UdpTransportServer::on_datagram(const net::Endpoint& from, net::PacketView 
     it = conns_.emplace(conn_id, std::move(conn)).first;
     if (on_accept_) on_accept_(*it->second);
   }
-  it->second->on_datagram(payload.span());
+  it->second->on_packet(rx_, payload.size());
+  rx_.frames.clear();
 }
 
 void UdpTransportServer::reap_closed() {

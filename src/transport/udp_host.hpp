@@ -46,6 +46,7 @@ class UdpTransportServer {
   AcceptFn on_accept_;
   std::unique_ptr<net::UdpSocket> socket_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  TransportPacket rx_;  // parse scratch, frames cleared after each datagram
 };
 
 }  // namespace pan::transport

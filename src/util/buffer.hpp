@@ -4,7 +4,9 @@
 // (net::PacketView) reference a [offset, offset+length) window of a Buffer,
 // so a packet serialized once at the transport edge can move through socket,
 // SCION stack, border routers, and link queues without its bytes ever being
-// copied — sharing is a refcount bump, moving is free.
+// copied — sharing is a refcount bump, moving is free. The refcount and the
+// bytes live in one heap block (make_shared of an array), so a buffer costs
+// one allocation.
 //
 // Mutation discipline (skbuff-style): the forwarding path owns its packet
 // uniquely, so in-place writes (cursor patching, headroom prepends) act
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "util/bytes.hpp"
@@ -24,20 +27,21 @@ class Buffer {
  public:
   Buffer() = default;
   /// Allocates `capacity` zero-initialized bytes.
-  explicit Buffer(std::size_t capacity) : storage_(std::make_shared<Bytes>(capacity)) {}
+  explicit Buffer(std::size_t capacity)
+      : storage_(std::make_shared<std::uint8_t[]>(capacity)), capacity_(capacity) {}
 
-  /// Adopts an existing byte vector without copying.
-  [[nodiscard]] static Buffer adopt(Bytes&& bytes) {
+  /// A buffer holding a copy of `bytes` (one allocation, no zero-fill).
+  [[nodiscard]] static Buffer copy_of(std::span<const std::uint8_t> bytes) {
     Buffer b;
-    b.storage_ = std::make_shared<Bytes>(std::move(bytes));
+    b.storage_ = std::make_shared_for_overwrite<std::uint8_t[]>(bytes.size());
+    b.capacity_ = bytes.size();
+    if (!bytes.empty()) std::memcpy(b.storage_.get(), bytes.data(), bytes.size());
     return b;
   }
 
   [[nodiscard]] bool valid() const { return storage_ != nullptr; }
-  [[nodiscard]] std::size_t capacity() const { return storage_ ? storage_->size() : 0; }
-  [[nodiscard]] const std::uint8_t* data() const {
-    return storage_ ? storage_->data() : nullptr;
-  }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] const std::uint8_t* data() const { return storage_.get(); }
 
   /// True when this handle is the sole owner (in-place writes are safe).
   [[nodiscard]] bool unique() const { return storage_ && storage_.use_count() == 1; }
@@ -45,13 +49,13 @@ class Buffer {
   /// Writable storage pointer; clones the block first if it is shared, so
   /// other holders keep the bytes they saw (copy-on-write).
   [[nodiscard]] std::uint8_t* mutable_data() {
-    if (!storage_) return nullptr;
-    if (storage_.use_count() > 1) storage_ = std::make_shared<Bytes>(*storage_);
-    return storage_->data();
+    if (storage_.use_count() > 1) *this = copy_of({storage_.get(), capacity_});
+    return storage_.get();
   }
 
  private:
-  std::shared_ptr<Bytes> storage_;
+  std::shared_ptr<std::uint8_t[]> storage_;
+  std::size_t capacity_ = 0;
 };
 
 /// Bounds-checked big-endian writer over a fixed span — the headroom-prepend

@@ -1,12 +1,15 @@
 // Tests for the transport engine: frames, handshake, reliable delivery,
 // multiplexing, loss recovery, congestion behaviour, timeouts, round-robin
-// send order, and stream retirement.
+// send order, stream retirement, and the allocations a bulk write costs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "http/client.hpp"
 #include "http/file_server.hpp"  // generate_blob for payload integrity
 #include "net/host.hpp"
 #include "net/router.hpp"
+#include "support/alloc_probe.hpp"
 #include "transport/udp_host.hpp"
 
 namespace pan::transport {
@@ -46,6 +49,50 @@ TEST(FramesTest, RejectsGarbage) {
   Bytes truncated = serialize_packet(TransportPacket{});
   truncated.pop_back();
   EXPECT_FALSE(parse_packet(truncated).ok());
+}
+
+TEST(FramesTest, ParseIntoReadsStreamDataInPlace) {
+  TransportPacket packet;
+  packet.frames.emplace_back(StreamFrame{4, 1000, false, from_string("payload")});
+  packet.frames.emplace_back(PingFrame{});
+  const net::PacketView wire = serialize_packet_view(packet, 0);
+  TransportPacket out;
+  out.frames.emplace_back(CloseFrame{"stale"});
+  ASSERT_TRUE(parse_packet_into(wire, out).ok());
+  ASSERT_EQ(out.frames.size(), 2u);  // replaced, not appended
+  const net::PacketView& data = std::get<StreamFrame>(out.frames[0]).data;
+  EXPECT_EQ(to_string_view_copy(data.span()), "payload");
+  // The frame's bytes are the datagram's own, not a copy.
+  const auto datagram = wire.span();
+  EXPECT_TRUE(std::less_equal<>()(datagram.data(), data.span().data()));
+  EXPECT_TRUE(std::less_equal<>()(data.span().data() + data.size(),
+                                  datagram.data() + datagram.size()));
+}
+
+TEST(FramesTest, RejectsTruncatedStreamAndTooManyAckRanges) {
+  TransportPacket packet;
+  packet.frames.emplace_back(StreamFrame{0, 0, false, from_string("abcdef")});
+  Bytes wire = serialize_packet(packet);
+  ASSERT_TRUE(parse_packet(wire).ok());
+  wire.pop_back();  // the length prefix claims one byte more than follows
+  EXPECT_FALSE(parse_packet(wire).ok());
+  wire.resize(packet_header_size() + stream_frame_overhead() - 1);  // inside the prefix
+  EXPECT_FALSE(parse_packet(wire).ok());
+
+  TransportPacket acks;
+  AckFrame ack;
+  for (std::uint64_t i = 0; i < kMaxAckRanges; ++i) ack.ranges.push_back({100 - 4 * i, 101 - 4 * i});
+  acks.frames.emplace_back(ack);
+  Bytes ack_wire = serialize_packet(acks);
+  const auto sixteen = parse_packet(ack_wire);
+  ASSERT_TRUE(sixteen.ok());
+  EXPECT_EQ(std::get<AckFrame>(sixteen.value().frames.at(0)).ranges.size(), kMaxAckRanges);
+  // A 17th range: bump the count (after the frame type) and append one.
+  ack_wire[packet_header_size() + 1] = kMaxAckRanges + 1;
+  ack_wire.insert(ack_wire.end(), 16, 0);
+  const auto seventeen = parse_packet(ack_wire);
+  ASSERT_FALSE(seventeen.ok());
+  EXPECT_EQ(seventeen.error(), "too many ack ranges");
 }
 
 TEST(FramesTest, AckContains) {
@@ -543,13 +590,12 @@ struct WirePair {
   Conduit conduit(bool from_client) {
     Conduit conduit;
     conduit.send = [this, from_client, sent = std::uint64_t{0}](net::PacketView wire) mutable {
-      Bytes bytes(wire.span().begin(), wire.span().end());
-      if (on_wire) on_wire(from_client, parse_packet(bytes).value());
+      if (on_wire) on_wire(from_client, parse_packet(wire.span()).value());
       const std::uint64_t n = sent++;
       if (drop && drop(from_client, n)) return;
       sim.schedule_after(milliseconds(10) + microseconds(static_cast<std::int64_t>(n)),
-                         [this, from_client, bytes = std::move(bytes)] {
-                           (from_client ? server : client)->on_datagram(bytes);
+                         [this, from_client, wire = std::move(wire)] {
+                           (from_client ? server : client)->on_datagram(wire);
                          });
     };
     return conduit;
@@ -631,6 +677,80 @@ TEST(StreamSchedulingTest, RoundRobinOrderMatchesGolden) {
             "s6@0 s6@908 s6@1816 s6@2724 s6@3632 s6@4540 s6@5448 s6@6356 s6@7264 s6@7500F "
             "s2@0 s2@908 s2@1816 s4@0 s2@2724 s4@908 s2@3500F s4@1024 s4@1916 s4@2824 "
             "s4@3732 s4@4640 s4@5500F ");
+}
+
+TEST(ConnectionTest, GoBackNResendsWriteIntact) {
+  // The client's first flight of a multi-packet write is lost (its datagram
+  // 0 is the INITIAL). Only the PTO recovers it: go-back-n re-queues every
+  // in-flight slice as a copy, and pump cuts frames from those copies and
+  // from the rest of the write.
+  WirePair wire;
+  wire.drop = [](bool from_client, std::uint64_t n) { return from_client && n >= 1 && n <= 20; };
+  const Bytes blob = http::generate_blob(30'000, 5);
+  Bytes received;
+  bool fin = false;
+  wire.server->set_on_stream([&](Stream& stream) {
+    stream.set_on_data([&](std::span<const std::uint8_t> data, bool last) {
+      received.insert(received.end(), data.begin(), data.end());
+      fin = last;
+    });
+  });
+  wire.client->set_on_established([&] {
+    Stream& stream = wire.client->open_stream();
+    stream.write(blob);
+    stream.finish();
+  });
+  wire.client->start();
+  ASSERT_TRUE(wire.sim.run_until_condition([&] { return fin; }, TimePoint{seconds(30).nanos()}));
+  EXPECT_EQ(received, blob);
+  EXPECT_GT(wire.client->stats().pto_fired, 0u);
+  EXPECT_GE(wire.client->stats().packets_lost, 10u);  // the whole first flight
+}
+
+/// Heap allocations per packet sent (data and ACKs, both ends) while an
+/// established pair moves one write of `size` bytes.
+double allocations_per_packet(std::size_t size) {
+  WirePair wire;
+  const Bytes blob = http::generate_blob(size, 9);
+  std::size_t received = 0;
+  bool intact = true;
+  bool fin = false;
+  wire.server->set_on_stream([&](Stream& stream) {
+    stream.set_on_data([&](std::span<const std::uint8_t> data, bool last) {
+      intact = intact && std::equal(data.begin(), data.end(), blob.begin() + received);
+      received += data.size();
+      fin = last;
+    });
+  });
+  wire.client->start();
+  wire.sim.run_for(seconds(1));
+  const auto packets = [&] {
+    return wire.client->stats().packets_sent + wire.server->stats().packets_sent;
+  };
+  const std::uint64_t packets_before = packets();
+  const std::uint64_t allocations_before = testsupport::allocation_count();
+  Stream& stream = wire.client->open_stream();
+  stream.write(blob);
+  stream.finish();
+  EXPECT_TRUE(wire.sim.run_until_condition([&] { return fin; }, wire.sim.now() + seconds(60)));
+  const std::uint64_t allocations = testsupport::allocation_count() - allocations_before;
+  const std::uint64_t sent = packets() - packets_before;
+  EXPECT_EQ(received, size);
+  EXPECT_TRUE(intact);
+  EXPECT_GT(sent, size / 1200);
+  return static_cast<double>(allocations) / static_cast<double>(sent);
+}
+
+TEST(ConnectionTest, BulkWriteCostsAtMostThreeAllocationsPerPacket) {
+  if (!testsupport::alloc_probe_active()) {
+    GTEST_SKIP() << "counting allocator disabled under sanitizers";
+  }
+  // One copy into the send buffer, slices from there on, and in-place reads
+  // on receipt: what is left per packet is its wire buffer and its
+  // in-flight record, plus the peer's ACKs.
+  for (const std::size_t size : {30'000u, 300'000u, 3'000'000u}) {
+    EXPECT_LE(allocations_per_packet(size), 3.0) << size << "-byte write";
+  }
 }
 
 // ------------------------------------------------------ stream retirement --
