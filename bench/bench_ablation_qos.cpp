@@ -47,7 +47,7 @@ FlowResult run_flow(double flood_mbps, bool reserved) {
   double delay_sum_ms = 0;
   const double base_delay_ms = best.meta().latency.millis();
   auto probe_sink = topo.scion_stack(server).bind(
-      9001, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView payload) {
+      9001, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView payload) {
         // The payload carries the send time.
         ByteReader r(payload.span());
         const TimePoint sent{static_cast<std::int64_t>(r.u64())};
@@ -55,7 +55,7 @@ FlowResult run_flow(double flood_mbps, bool reserved) {
         ++received;
       });
   auto flood_sink = topo.scion_stack(server).bind(
-      9003, [](const ScionEndpoint&, const DataplanePath&, net::PacketView) {});
+      9003, [](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) {});
   auto client = topo.scion_stack(world->client).bind(0, nullptr);
 
   // 1000-byte CBR probe every 2 ms (~5 Mbps on the wire) for one second,
@@ -71,12 +71,12 @@ FlowResult run_flow(double flood_mbps, bool reserved) {
           w.u64(static_cast<std::uint64_t>(sim.now().nanos()));
           Bytes payload = std::move(w).take();
           payload.resize(1000);
-          client->send_to(ScionEndpoint{topo.scion_addr(server), 9001}, best.dataplane(),
+          client->send_to(ScionEndpoint{topo.scion_addr(server), 9001}, WirePath(best.dataplane()),
                           std::move(payload), reservation);
           if (flood_per_tick == 0) break;
         }
         if (flood_per_tick > 0) {
-          client->send_to(ScionEndpoint{topo.scion_addr(server), 9003}, best.dataplane(),
+          client->send_to(ScionEndpoint{topo.scion_addr(server), 9003}, WirePath(best.dataplane()),
                           Bytes(1000, 0x03));
         }
       }

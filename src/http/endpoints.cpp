@@ -64,9 +64,9 @@ void LegacyHttpConnection::close() { client_.connection().close("done"); }
 
 ScionHttpConnection::ScionHttpConnection(scion::ScionStack& stack,
                                          scion::ScionEndpoint server,
-                                         scion::DataplanePath path,
+                                         const scion::DataplanePath& path,
                                          transport::TransportConfig config)
-    : client_(stack, server, std::move(path), std::move(config)) {
+    : client_(stack, server, path, std::move(config)) {
   client_.connection().start();
 }
 

@@ -78,13 +78,13 @@ class LegacyHttpConnection {
 class ScionHttpConnection {
  public:
   ScionHttpConnection(scion::ScionStack& stack, scion::ScionEndpoint server,
-                      scion::DataplanePath path,
+                      const scion::DataplanePath& path,
                       transport::TransportConfig config = default_quic_config());
   ~ScionHttpConnection();
 
   void fetch(const HttpRequest& request, HttpClientStream::ResponseFn on_response);
   /// Migrates the connection to a different path.
-  void set_path(scion::DataplanePath path) { client_.set_path(std::move(path)); }
+  void set_path(const scion::DataplanePath& path) { client_.set_path(path); }
   [[nodiscard]] transport::Connection& transport() { return client_.connection(); }
   void close();
 

@@ -1,6 +1,7 @@
 #include "scion/header.hpp"
 
 #include <cassert>
+#include <cstring>
 
 namespace pan::scion {
 
@@ -9,6 +10,75 @@ Bytes serialize_scion_packet(const ScionHeader& header, std::span<const std::uin
   write_scion_header(w, header);
   w.raw(payload);
   return std::move(w).take();
+}
+
+WirePath::WirePath(const DataplanePath& path) {
+  if (path.empty()) return;
+  std::size_t size = 1;
+  for (const DataplaneSegment& seg : path.segments) {
+    size += kSegmentMetaSize + seg.hops.size() * kHopFieldWireSize;
+  }
+  bytes_.resize(size);
+  util::SpanWriter w(bytes_);
+  w.u8(static_cast<std::uint8_t>(path.segments.size()));
+  for (const DataplaneSegment& seg : path.segments) {
+    w.u8(seg.reversed ? 1 : 0);
+    w.u32(seg.origin_ts);
+    w.u8(static_cast<std::uint8_t>(seg.hops.size()));
+    for (const HopField& hf : seg.hops) {
+      serialize_hop_field(w, hf);
+    }
+  }
+  assert(!w.failed() && w.remaining() == 0);
+}
+
+namespace {
+
+/// Pairs each segment of a received path section with its place in the
+/// reply: walks `in` front to back and calls fn(in_off, out_off, size) with
+/// the segment's offset in `in`, its offset in the reply (same total size,
+/// segments in reverse order) and its size. `in` comes from a validated
+/// ScionHeaderView, so every segment lies inside it.
+template <typename Fn>
+void for_each_reply_segment(std::span<const std::uint8_t> in, Fn&& fn) {
+  std::size_t in_off = 1;
+  std::size_t out_end = in.size();
+  for (std::uint8_t s = 0; s < in[0]; ++s) {
+    const std::size_t size = kSegmentMetaSize + std::size_t{in[in_off + 5]} * kHopFieldWireSize;
+    out_end -= size;
+    fn(in_off, out_end, size);
+    in_off += size;
+  }
+}
+
+/// A reply segment's flag byte: the received reversed bit, flipped.
+std::uint8_t reply_flags(std::uint8_t in) { return static_cast<std::uint8_t>((in & 1) ^ 1); }
+
+}  // namespace
+
+WirePath WirePath::reply_to(const ScionHeaderView& view) {
+  const std::span<const std::uint8_t> in = view.path_bytes();
+  WirePath out;
+  if (in[0] == 0) return out;
+  out.bytes_.resize(in.size());
+  out.bytes_[0] = in[0];
+  for_each_reply_segment(in, [&](std::size_t in_off, std::size_t out_off, std::size_t size) {
+    out.bytes_[out_off] = reply_flags(in[in_off]);
+    std::memcpy(out.bytes_.data() + out_off + 1, in.data() + in_off + 1, size - 1);
+  });
+  return out;
+}
+
+bool WirePath::is_reply_to(const ScionHeaderView& view) const {
+  const std::span<const std::uint8_t> in = view.path_bytes();
+  const std::span<const std::uint8_t> mine = bytes();
+  if (in.size() != mine.size() || in[0] != mine[0]) return false;
+  bool same = true;
+  for_each_reply_segment(in, [&](std::size_t in_off, std::size_t out_off, std::size_t size) {
+    same = same && mine[out_off] == reply_flags(in[in_off]) &&
+           std::memcmp(mine.data() + out_off + 1, in.data() + in_off + 1, size - 1) == 0;
+  });
+  return same;
 }
 
 Result<ParsedScionPacket> parse_scion_packet(std::span<const std::uint8_t> data) {
@@ -48,7 +118,7 @@ Result<ParsedScionPacket> parse_scion_packet(std::span<const std::uint8_t> data)
 Result<ScionHeaderView> ScionHeaderView::parse(std::span<const std::uint8_t> data) {
   if (data.size() < kScionFixedHeaderSize) return Err("truncated SCION header");
   if (data[0] != kScionMagic) return Err("bad SCION magic");
-  const std::uint8_t seg_count = data[kScionFixedHeaderSize - 1];
+  const std::uint8_t seg_count = data[kScionPathOffset];
   std::size_t off = kScionFixedHeaderSize;
   for (std::uint8_t s = 0; s < seg_count; ++s) {
     if (data.size() - off < kSegmentMetaSize) return Err("truncated SCION header");
@@ -105,14 +175,6 @@ void patch_cursor(net::PacketView& packet, std::uint8_t cur_seg, std::uint8_t cu
   std::span<std::uint8_t> bytes = packet.mutable_span();
   bytes[ParsedScionPacket::kCurSegOffset] = cur_seg;
   bytes[ParsedScionPacket::kCurHopOffset] = cur_hop;
-}
-
-std::size_t scion_header_size(const DataplanePath& path) {
-  std::size_t size = kScionFixedHeaderSize;
-  for (const DataplaneSegment& seg : path.segments) {
-    size += kSegmentMetaSize + seg.hops.size() * kHopFieldWireSize;
-  }
-  return size;
 }
 
 }  // namespace pan::scion

@@ -20,13 +20,20 @@
 //
 // Two parsers exist over this format:
 //  - parse_scion_packet: materializes the full ScionHeader (every segment,
-//    every hop field) into owning structures. Cold paths only — endpoints,
-//    SCMP origination, and the legacy per-hop reparse kept for equivalence
-//    testing.
+//    every hop field) into owning structures. Cold paths only — SCMP
+//    origination and the legacy per-hop reparse kept for equivalence
+//    testing. End hosts do not use it.
 //  - ScionHeaderView: the hot-path lazy view. One O(#segments) arithmetic
 //    walk validates structural bounds, then accessors decode exactly the
 //    fields a border router touches (the cursor and one hop field) straight
-//    from the wire bytes. No heap allocation anywhere.
+//    from the wire bytes. No heap allocation anywhere. End hosts receive
+//    through it too.
+//
+// The path section (segment count onward) has one encoder, WirePath: end
+// hosts build it once per path and prepend it to every datagram with one
+// copy; a server derives its reply path from a received view at the byte
+// level (WirePath::reply_to) and checks later datagrams against it without
+// allocating (WirePath::is_reply_to).
 #pragma once
 
 #include "net/packet.hpp"
@@ -41,8 +48,12 @@ namespace pan::scion {
 inline constexpr std::uint8_t kScionMagic = 0x5C;
 inline constexpr std::uint8_t kProtoUdp = 17;
 
-/// Size of the fixed (path-independent) header prefix.
-inline constexpr std::size_t kScionFixedHeaderSize = 37;
+/// Offset of the path section (its u8 segment count): the size of the
+/// address/port/reservation prefix in front of it.
+inline constexpr std::size_t kScionPathOffset = 36;
+/// Size of the fixed (path-independent) header prefix, segment count
+/// included.
+inline constexpr std::size_t kScionFixedHeaderSize = kScionPathOffset + 1;
 /// Per-segment metadata: u8 flags + u32 origin_ts + u8 hop count.
 inline constexpr std::size_t kSegmentMetaSize = 6;
 
@@ -61,12 +72,53 @@ struct ScionHeader {
   std::uint8_t cur_hop = 0;
 };
 
+class ScionHeaderView;
+
+/// A path section in wire form: the u8 segment count, then per segment its
+/// meta (u8 flags, u32 origin_ts, u8 hop count) and hop fields — exactly the
+/// bytes a header carries after its kScionPathOffset-byte prefix. Built once
+/// per path, so a sender prepends it with one copy and never re-encodes hop
+/// fields. The empty (intra-AS) path holds no heap storage.
+class WirePath {
+ public:
+  /// The empty (intra-AS) path.
+  WirePath() = default;
+  /// Encodes `path`. The one encoder of the path section: headers written
+  /// from a materialized ScionHeader go through it too.
+  explicit WirePath(const DataplanePath& path);
+
+  /// The path a receiver replies over: the view's segments in reverse
+  /// order, each flag flipped, hop fields copied verbatim. The flag is
+  /// written as (flags & 1) ^ 1, so the bytes equal
+  /// WirePath(view.materialize().path.reversed()) even when the sender set
+  /// high flag bits. Takes the view, not raw bytes: the view is what proves
+  /// every segment's hop fields lie inside the packet.
+  [[nodiscard]] static WirePath reply_to(const ScionHeaderView& view);
+  /// True iff reply_to(view) would equal *this. Allocation-free.
+  [[nodiscard]] bool is_reply_to(const ScionHeaderView& view) const;
+
+  /// The wire bytes, segment count first (one zero byte when empty).
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return bytes_.empty() ? std::span<const std::uint8_t>(kNoSegments) : bytes_;
+  }
+  [[nodiscard]] bool empty() const { return bytes_.empty(); }
+  /// Serialized SCION header size with this path (MTU math, headroom).
+  [[nodiscard]] std::size_t header_size() const { return kScionPathOffset + bytes().size(); }
+
+  bool operator==(const WirePath& other) const { return bytes_ == other.bytes_; }
+
+ private:
+  static constexpr std::uint8_t kNoSegments[1] = {0};
+  // Empty for the empty path; otherwise never starts with a zero count.
+  Bytes bytes_;
+};
+
 /// Writes the header (no payload) with `path` in place of `header.path`, so
 /// a sender need not copy its path into the header. Templated over the
 /// writer so the growing (ByteWriter) and headroom-prepend
 /// (util::SpanWriter) paths emit byte-identical output from one definition.
 template <typename Writer>
-void write_scion_header(Writer& w, const ScionHeader& header, const DataplanePath& path) {
+void write_scion_header(Writer& w, const ScionHeader& header, const WirePath& path) {
   w.u8(kScionMagic);
   w.u8(header.cur_seg);
   w.u8(header.cur_hop);
@@ -78,21 +130,14 @@ void write_scion_header(Writer& w, const ScionHeader& header, const DataplanePat
   w.u16(header.src_port);
   w.u16(header.dst_port);
   w.u32(header.reservation_id);
-  w.u8(static_cast<std::uint8_t>(path.segments.size()));
-  for (const DataplaneSegment& seg : path.segments) {
-    w.u8(seg.reversed ? 1 : 0);
-    w.u32(seg.origin_ts);
-    w.u8(static_cast<std::uint8_t>(seg.hops.size()));
-    for (const HopField& hf : seg.hops) {
-      serialize_hop_field(w, hf);
-    }
-  }
+  w.raw(path.bytes());
 }
 
-/// Writes the header (no payload), path included.
+/// Writes the header (no payload), path included. Encodes header.path on
+/// each call: for cold paths (SCMP origination, tests).
 template <typename Writer>
 void write_scion_header(Writer& w, const ScionHeader& header) {
-  write_scion_header(w, header, header.path);
+  write_scion_header(w, header, WirePath(header.path));
 }
 
 /// Serializes header + payload into one buffer.
@@ -171,6 +216,10 @@ class ScionHeaderView {
   }
 
   [[nodiscard]] std::size_t header_size() const { return header_size_; }
+  /// The path section's wire bytes (segment count first); see WirePath.
+  [[nodiscard]] std::span<const std::uint8_t> path_bytes() const {
+    return data_.subspan(kScionPathOffset, header_size_ - kScionPathOffset);
+  }
   [[nodiscard]] std::size_t payload_offset() const { return header_size_; }
   [[nodiscard]] std::span<const std::uint8_t> payload() const {
     return data_.subspan(header_size_);
@@ -190,8 +239,5 @@ class ScionHeaderView {
 void patch_cursor(Bytes& packet, std::uint8_t cur_seg, std::uint8_t cur_hop);
 /// View flavor: copy-on-write — storage is cloned first iff it is shared.
 void patch_cursor(net::PacketView& packet, std::uint8_t cur_seg, std::uint8_t cur_hop);
-
-/// Serialized header size for a path (for MTU math and headroom sizing).
-[[nodiscard]] std::size_t scion_header_size(const DataplanePath& path);
 
 }  // namespace pan::scion

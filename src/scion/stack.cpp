@@ -1,5 +1,6 @@
 #include "scion/stack.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/log.hpp"
@@ -40,9 +41,8 @@ std::uint16_t ScionStack::allocate_ephemeral_port() {
   return 0;
 }
 
-void ScionStack::send(std::uint16_t src_port, const ScionEndpoint& dst,
-                      const DataplanePath& path, net::PacketView payload,
-                      ReservationId reservation) {
+void ScionStack::send(std::uint16_t src_port, const ScionEndpoint& dst, const WirePath& path,
+                      net::PacketView payload, ReservationId reservation) {
   ScionHeader header;
   header.src = local_addr();
   header.dst = dst.addr;
@@ -59,37 +59,39 @@ void ScionStack::send(std::uint16_t src_port, const ScionEndpoint& dst,
   packet.src_port = src_port;
   packet.dst_port = dst.port;
 
-  const std::size_t header_size = scion_header_size(path);
-  if (payload.headroom() >= header_size) {
-    // Zero-copy fast path: the transport serialized its frame into a buffer
-    // with SCION headroom reserved, so the header (with the caller's path,
-    // not a copy of it) is written in place right in front of the datagram.
-    util::SpanWriter w(payload.prepend(header_size));
-    write_scion_header(w, header, path);
-    assert(!w.failed() && w.remaining() == 0);
-    packet.payload = std::move(payload);
-  } else {
-    header.path = path;
-    packet.payload = serialize_scion_packet(header, payload.span());
+  // The transport serializes its frames into buffers with SCION headroom
+  // reserved, so the header is written in place right in front of the
+  // datagram, its path section with one copy. A payload without headroom
+  // (tests, probes) is copied once into a buffer that has it.
+  const std::size_t header_size = path.header_size();
+  if (payload.headroom() < header_size) {
+    net::PacketView roomy = net::PacketView::with_headroom(header_size, payload.size());
+    std::ranges::copy(payload.span(), roomy.mutable_span().begin());
+    payload = std::move(roomy);
   }
+  util::SpanWriter w(payload.prepend(header_size));
+  write_scion_header(w, header, path);
+  assert(!w.failed() && w.remaining() == 0);
+  packet.payload = std::move(payload);
   ++sent_;
   host_.send_packet(std::move(packet));
 }
 
 void ScionStack::handle(net::Packet&& packet, net::IfId /*in_if*/) {
-  auto parsed = parse_scion_packet(packet.payload.span());
+  const auto parsed = ScionHeaderView::parse(packet.payload.span());
   if (!parsed.ok()) {
     ++parse_errors_;
     PAN_DEBUG(kLog) << "parse error: " << parsed.error();
     return;
   }
-  ScionHeader& header = parsed.value().header;
-  if (header.dst.ia != local_as_ || header.dst.host != host_.address()) {
-    PAN_DEBUG(kLog) << "misdelivered SCION packet for " << header.dst.to_string();
+  const ScionHeaderView& header = parsed.value();
+  const ScionAddr dst = header.dst();
+  if (dst.ia != local_as_ || dst.host != host_.address()) {
+    PAN_DEBUG(kLog) << "misdelivered SCION packet for " << dst.to_string();
     return;
   }
-  if (header.next_proto == kProtoScmp) {
-    const auto message = ScmpMessage::parse(parsed.value().payload);
+  if (header.next_proto() == kProtoScmp) {
+    const auto message = ScmpMessage::parse(header.payload());
     if (!message.ok()) {
       ++parse_errors_;
       return;
@@ -103,18 +105,16 @@ void ScionStack::handle(net::Packet&& packet, net::IfId /*in_if*/) {
     }
     return;
   }
-  const auto it = sockets_.find(header.dst_port);
+  const auto it = sockets_.find(header.dst_port());
   if (it == sockets_.end()) {
-    PAN_DEBUG(kLog) << "no SCION socket on port " << header.dst_port;
+    PAN_DEBUG(kLog) << "no SCION socket on port " << header.dst_port();
     return;
   }
   ++received_;
-  const ScionEndpoint from{header.src, header.src_port};
-  const DataplanePath reply_path = header.path.reversed();
+  const ScionEndpoint from{header.src(), header.src_port()};
   // Zero-copy delivery: hand the receiver a sub-view of the packet buffer
   // starting at the payload (the header bytes stay in the shared storage).
-  it->second->deliver(from, reply_path,
-                      packet.payload.subview(parsed.value().payload_offset));
+  it->second->deliver(from, header, packet.payload.subview(header.payload_offset()));
 }
 
 void ScionStack::unbind(std::uint16_t port) { sockets_.erase(port); }
@@ -132,14 +132,14 @@ ScionSocket::ScionSocket(ScionStack& stack, std::uint16_t port, ScionStack::Recv
 
 ScionSocket::~ScionSocket() { stack_.unbind(port_); }
 
-void ScionSocket::send_to(const ScionEndpoint& dst, const DataplanePath& path,
+void ScionSocket::send_to(const ScionEndpoint& dst, const WirePath& path,
                           net::PacketView payload, ReservationId reservation) {
   stack_.send(port_, dst, path, std::move(payload), reservation);
 }
 
-void ScionSocket::deliver(const ScionEndpoint& from, const DataplanePath& reply_path,
+void ScionSocket::deliver(const ScionEndpoint& from, const ScionHeaderView& header,
                           net::PacketView payload) {
-  if (on_receive_) on_receive_(from, reply_path, std::move(payload));
+  if (on_receive_) on_receive_(from, header, std::move(payload));
 }
 
 }  // namespace pan::scion

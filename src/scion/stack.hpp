@@ -1,10 +1,13 @@
 // SCION host stack: UDP-over-SCION sockets ("snet" equivalent).
 //
-// The stack registers itself as the host's SCION handler, demultiplexes
-// incoming SCION/UDP packets to bound sockets, and hands each receiver the
-// ready-reversed dataplane path so servers can reply without a path lookup —
-// the property that makes SCION servers deployable without a daemon, which
-// the paper's reverse proxy relies on.
+// The stack registers itself as the host's SCION handler, validates each
+// incoming SCION/UDP packet with a ScionHeaderView, demultiplexes it to a
+// bound socket and hands the receiver that view. A server derives its reply
+// path from it (WirePath::reply_to) without a path lookup — the property
+// that makes SCION servers deployable without a daemon, which the paper's
+// reverse proxy relies on. Paths stay in wire form end to end: nothing is
+// materialized or reversed per datagram, and a send prepends the caller's
+// pre-encoded WirePath with one copy.
 #pragma once
 
 #include <functional>
@@ -31,10 +34,12 @@ class ScionStack {
   [[nodiscard]] ScionAddr local_addr() const { return ScionAddr{local_as_, host_.address()}; }
   [[nodiscard]] net::Host& host() { return host_; }
 
-  /// from + reply_path identify the peer; reply_path is already reversed
-  /// (empty for intra-AS traffic). The payload view shares the received
+  /// `from` identifies the peer. `header` is the received packet's validated
+  /// header, borrowed for the duration of the call only: reply over
+  /// WirePath::reply_to(header), or check a kept reply path with
+  /// WirePath::is_reply_to(header). The payload view shares the received
   /// packet's buffer (zero-copy); call to_bytes() to own a copy.
-  using RecvFn = std::function<void(const ScionEndpoint& from, const DataplanePath& reply_path,
+  using RecvFn = std::function<void(const ScionEndpoint& from, const ScionHeaderView& header,
                                     net::PacketView payload)>;
 
   /// Binds a SCION/UDP socket; port 0 picks an ephemeral port. Returns null
@@ -55,7 +60,7 @@ class ScionStack {
  private:
   friend class ScionSocket;
   void handle(net::Packet&& packet, net::IfId in_if);
-  void send(std::uint16_t src_port, const ScionEndpoint& dst, const DataplanePath& path,
+  void send(std::uint16_t src_port, const ScionEndpoint& dst, const WirePath& path,
             net::PacketView payload, ReservationId reservation);
   void unbind(std::uint16_t port);
   [[nodiscard]] std::uint16_t allocate_ephemeral_port();
@@ -89,15 +94,15 @@ class ScionSocket {
   /// Sends a datagram along `path` (which must lead from the local AS to
   /// dst's AS; empty for intra-AS destinations). A nonzero reservation id
   /// claims Colibri priority bandwidth — routers validate and police it.
-  /// If `payload` carries at least scion_header_size(path) bytes of headroom
+  /// If `payload` carries at least path.header_size() bytes of headroom
   /// (see PacketView::with_headroom), the SCION header is prepended in place
-  /// and the datagram is never copied; otherwise it is reserialized once.
-  void send_to(const ScionEndpoint& dst, const DataplanePath& path, net::PacketView payload,
+  /// and the datagram is never copied; otherwise it is copied once.
+  void send_to(const ScionEndpoint& dst, const WirePath& path, net::PacketView payload,
                ReservationId reservation = 0);
 
  private:
   friend class ScionStack;
-  void deliver(const ScionEndpoint& from, const DataplanePath& reply_path,
+  void deliver(const ScionEndpoint& from, const ScionHeaderView& header,
                net::PacketView payload);
 
   ScionStack& stack_;

@@ -11,18 +11,18 @@ constexpr std::string_view kLog = "scion-host";
 constexpr std::size_t kDefaultDatagram = 1200;
 }  // namespace
 
-std::size_t scion_max_payload(const scion::DataplanePath& path, std::size_t mtu) {
-  const std::size_t header = scion::scion_header_size(path);
-  if (mtu <= header + 64) return 576;  // degenerate, keep a usable floor
-  return std::min(kDefaultDatagram, mtu - header);
+std::size_t scion_max_payload(std::size_t header_size, std::size_t mtu) {
+  if (mtu <= header_size + 64) return 576;  // degenerate, keep a usable floor
+  return std::min(kDefaultDatagram, mtu - header_size);
 }
 
 ScionTransportClient::ScionTransportClient(scion::ScionStack& stack,
                                            scion::ScionEndpoint server,
-                                           scion::DataplanePath path, TransportConfig config)
-    : server_(server), path_(std::move(path)) {
+                                           const scion::DataplanePath& path,
+                                           TransportConfig config)
+    : server_(server), path_(path) {
   socket_ = stack.bind(0, [this](const scion::ScionEndpoint& /*from*/,
-                                 const scion::DataplanePath& /*reply*/,
+                                 const scion::ScionHeaderView& /*header*/,
                                  net::PacketView payload) {
     conn_->on_datagram(payload);
   });
@@ -32,18 +32,18 @@ ScionTransportClient::ScionTransportClient(scion::ScionStack& stack,
 
 Conduit ScionTransportClient::make_conduit() {
   Conduit conduit;
-  conduit.max_payload = scion_max_payload(path_, 1500);
+  conduit.max_payload = scion_max_payload(path_.header_size(), 1500);
   // Reserve exactly the SCION header for this path in front of every
   // datagram: the stack prepends in place and nothing is ever re-copied.
-  conduit.headroom = scion::scion_header_size(path_);
+  conduit.headroom = path_.header_size();
   conduit.send = [this](net::PacketView datagram) {
     socket_->send_to(server_, path_, std::move(datagram));
   };
   return conduit;
 }
 
-void ScionTransportClient::set_path(scion::DataplanePath path) {
-  path_ = std::move(path);
+void ScionTransportClient::set_path(const scion::DataplanePath& path) {
+  path_ = scion::WirePath(path);
   conn_->set_conduit(make_conduit());
 }
 
@@ -51,14 +51,14 @@ ScionTransportServer::ScionTransportServer(scion::ScionStack& stack, std::uint16
                                            TransportConfig config, AcceptFn on_accept)
     : stack_(stack), config_(std::move(config)), on_accept_(std::move(on_accept)) {
   socket_ = stack.bind(port, [this](const scion::ScionEndpoint& from,
-                                    const scion::DataplanePath& reply_path,
+                                    const scion::ScionHeaderView& header,
                                     net::PacketView payload) {
-    on_datagram(from, reply_path, std::move(payload));
+    on_datagram(from, header, std::move(payload));
   });
 }
 
 void ScionTransportServer::on_datagram(const scion::ScionEndpoint& from,
-                                       const scion::DataplanePath& reply_path,
+                                       const scion::ScionHeaderView& header,
                                        net::PacketView payload) {
   // Parsed once: the connection takes the packet as is.
   if (!parse_packet_into(payload, rx_).ok()) {
@@ -72,10 +72,10 @@ void ScionTransportServer::on_datagram(const scion::ScionEndpoint& from,
     reap_closed();
     PeerState state;
     state.from = from;
-    state.reply_path = reply_path;
+    state.reply_path = scion::WirePath::reply_to(header);
     Conduit conduit;
-    conduit.max_payload = scion_max_payload(reply_path, 1500);
-    conduit.headroom = scion::scion_header_size(reply_path);
+    conduit.max_payload = scion_max_payload(state.reply_path.header_size(), 1500);
+    conduit.headroom = state.reply_path.header_size();
     conduit.send = [this, conn_id](net::PacketView datagram) {
       const auto peer = conns_.find(conn_id);
       if (peer == conns_.end()) return;
@@ -86,17 +86,18 @@ void ScionTransportServer::on_datagram(const scion::ScionEndpoint& from,
     it = conns_.emplace(conn_id, std::move(state)).first;
     if (on_accept_) on_accept_(*it->second.conn);
   } else {
-    // Follow client path migration. When the reply path actually changed,
+    // Follow client path migration: one allocation-free comparison per
+    // datagram, a new reply path only when the client's path changed. Then
     // jump-start retransmission: our outstanding data was black-holing on
     // the old path and the PTO backoff may have grown large.
-    const bool migrated = !(it->second.reply_path == reply_path);
-    it->second.from = from;
-    it->second.reply_path = reply_path;
-    if (migrated) {
+    PeerState& peer = it->second;
+    peer.from = from;
+    if (!peer.reply_path.is_reply_to(header)) {
+      peer.reply_path = scion::WirePath::reply_to(header);
       // The new reply path needs a (possibly) different SCION header size in
       // front of future datagrams — keep the zero-copy prepend exact.
-      it->second.conn->set_conduit_headroom(scion::scion_header_size(reply_path));
-      it->second.conn->on_path_migrated();
+      peer.conn->set_conduit_headroom(peer.reply_path.header_size());
+      peer.conn->on_path_migrated();
     }
   }
   it->second.conn->on_packet(rx_, payload.size());

@@ -4,7 +4,10 @@
 // The client pins a selected dataplane path and can migrate it mid-
 // connection (set_path). The server replies over the reversed path of the
 // most recent client packet, so it needs no daemon and follows client path
-// migration automatically.
+// migration automatically. Both ends keep their path in wire form
+// (scion::WirePath), encoded once per path: the server checks each datagram
+// against its reply path without allocating and re-derives it only when the
+// client's path really changed.
 #pragma once
 
 #include <memory>
@@ -18,18 +21,17 @@ namespace pan::transport {
 class ScionTransportClient {
  public:
   ScionTransportClient(scion::ScionStack& stack, scion::ScionEndpoint server,
-                       scion::DataplanePath path, TransportConfig config);
+                       const scion::DataplanePath& path, TransportConfig config);
 
   [[nodiscard]] Connection& connection() { return *conn_; }
   /// Migrates subsequent packets onto a different path.
-  void set_path(scion::DataplanePath path);
-  [[nodiscard]] const scion::DataplanePath& path() const { return path_; }
+  void set_path(const scion::DataplanePath& path);
 
  private:
   [[nodiscard]] Conduit make_conduit();
 
   scion::ScionEndpoint server_;
-  scion::DataplanePath path_;
+  scion::WirePath path_;
   std::unique_ptr<scion::ScionSocket> socket_;
   std::unique_ptr<Connection> conn_;
 };
@@ -49,10 +51,10 @@ class ScionTransportServer {
   struct PeerState {
     std::unique_ptr<Connection> conn;
     scion::ScionEndpoint from;
-    scion::DataplanePath reply_path;
+    scion::WirePath reply_path;
   };
 
-  void on_datagram(const scion::ScionEndpoint& from, const scion::DataplanePath& reply_path,
+  void on_datagram(const scion::ScionEndpoint& from, const scion::ScionHeaderView& header,
                    net::PacketView payload);
 
   scion::ScionStack& stack_;
@@ -63,8 +65,8 @@ class ScionTransportServer {
   TransportPacket rx_;  // parse scratch, frames cleared after each datagram
 };
 
-/// Largest transport datagram that fits the path MTU once the SCION header
-/// for `path` and link framing are accounted for.
-[[nodiscard]] std::size_t scion_max_payload(const scion::DataplanePath& path, std::size_t mtu);
+/// Largest transport datagram that fits the path MTU once a SCION header of
+/// `header_size` bytes (scion::WirePath::header_size) is accounted for.
+[[nodiscard]] std::size_t scion_max_payload(std::size_t header_size, std::size_t mtu);
 
 }  // namespace pan::transport

@@ -107,9 +107,9 @@ TEST(ColibriTest, ForgedReservationIdDroppedByRouters) {
   const auto server = topo.host_by_name("far-www");
   int received = 0;
   auto srv = topo.scion_stack(server).bind(
-      9000, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) { ++received; });
+      9000, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) { ++received; });
   auto client = topo.scion_stack(fx.world->client).bind(0, nullptr);
-  client->send_to(ScionEndpoint{topo.scion_addr(server), 9000}, fx.best.dataplane(),
+  client->send_to(ScionEndpoint{topo.scion_addr(server), 9000}, WirePath(fx.best.dataplane()),
                   from_string("forged"), /*reservation=*/0xDEAD);
   fx.world->sim().run();
   EXPECT_EQ(received, 0);
@@ -138,11 +138,12 @@ TEST(ColibriTest, ReservedFlowSurvivesBestEffortFlood) {
   int reserved_received = 0;
   int be_received = 0;
   auto srv_reserved = topo.scion_stack(server).bind(
-      9001, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) { ++reserved_received; });
+      9001,
+      [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) { ++reserved_received; });
   auto srv_be = topo.scion_stack(server).bind(
-      9002, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) { ++be_received; });
+      9002, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) { ++be_received; });
   auto srv_flood = topo.scion_stack(server).bind(
-      9003, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) {});
+      9003, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) {});
 
   auto client = topo.scion_stack(fx.world->client).bind(0, nullptr);
   // The flood comes from a different host but shares the core links via the
@@ -159,13 +160,13 @@ TEST(ColibriTest, ReservedFlowSurvivesBestEffortFlood) {
       for (int f = 0; f < 30; ++f) {
         if (f == 10) {
           client->send_to(ScionEndpoint{topo.scion_addr(server), 9001},
-                          fx.best.dataplane(), Bytes(1000, 0x01), id.value());
+                          WirePath(fx.best.dataplane()), Bytes(1000, 0x01), id.value());
         }
         if (f == 20) {
           client->send_to(ScionEndpoint{topo.scion_addr(server), 9002},
-                          fx.best.dataplane(), Bytes(1000, 0x02));
+                          WirePath(fx.best.dataplane()), Bytes(1000, 0x02));
         }
-        client->send_to(ScionEndpoint{topo.scion_addr(server), 9003}, fx.best.dataplane(),
+        client->send_to(ScionEndpoint{topo.scion_addr(server), 9003}, WirePath(fx.best.dataplane()),
                         Bytes(1000, 0x03));
       }
       (void)i;

@@ -344,7 +344,8 @@ TEST(RebeaconTest, ExpiredHopFieldsDropped) {
 
   std::string got;
   auto socket = topo.scion_stack(server).bind(
-      9000, [&](const scion::ScionEndpoint&, const scion::DataplanePath&, net::PacketView payload) {
+      9000,
+      [&](const scion::ScionEndpoint&, const scion::ScionHeaderView&, net::PacketView payload) {
         got = to_string_view_copy(payload.span());
       });
   auto client = topo.scion_stack(world->client).bind(0, nullptr);
@@ -352,7 +353,7 @@ TEST(RebeaconTest, ExpiredHopFieldsDropped) {
   // Advance the data-plane clock beyond beacon_ts + hop expiry (24h).
   topo.set_data_plane_time(1'000'000 + 24 * 3600 + 1);
   client->send_to(scion::ScionEndpoint{topo.scion_addr(server), 9000},
-                  paths.front().dataplane(), from_string("stale"));
+                  scion::WirePath(paths.front().dataplane()), from_string("stale"));
   world->sim().run();
   EXPECT_EQ(got, "");
   std::uint64_t expired_drops = 0;
@@ -366,7 +367,7 @@ TEST(RebeaconTest, ExpiredHopFieldsDropped) {
   const auto fresh = topo.daemon_for(world->client).query_now(topo.as_of(server));
   ASSERT_FALSE(fresh.empty());
   client->send_to(scion::ScionEndpoint{topo.scion_addr(server), 9000},
-                  fresh.front().dataplane(), from_string("fresh"));
+                  scion::WirePath(fresh.front().dataplane()), from_string("fresh"));
   world->sim().run();
   EXPECT_EQ(got, "fresh");
 }

@@ -69,11 +69,11 @@ DriveResult drive(std::uint64_t seed, bool legacy_reparse) {
   const HostId front = world.hosts.front();
   const HostId back = world.hosts.back();
   auto sink_back = topo.scion_stack(back).bind(
-      7000, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) {
+      7000, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) {
         ++result.delivered;
       });
   auto sink_front = topo.scion_stack(front).bind(
-      7000, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) {
+      7000, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) {
         ++result.delivered;
       });
   auto client_front = topo.scion_stack(front).bind(0, nullptr);
@@ -85,11 +85,11 @@ DriveResult drive(std::uint64_t seed, bool legacy_reparse) {
   EXPECT_FALSE(return_paths.empty());
   int n = 0;
   for (const Path& path : forward_paths) {
-    client_front->send_to(ScionEndpoint{topo.scion_addr(back), 7000}, path.dataplane(),
+    client_front->send_to(ScionEndpoint{topo.scion_addr(back), 7000}, WirePath(path.dataplane()),
                           from_string("fwd-" + std::to_string(n++)));
   }
   for (const Path& path : return_paths) {
-    client_back->send_to(ScionEndpoint{topo.scion_addr(front), 7000}, path.dataplane(),
+    client_back->send_to(ScionEndpoint{topo.scion_addr(front), 7000}, WirePath(path.dataplane()),
                          from_string("rev-" + std::to_string(n++)));
   }
   sim.run();
@@ -99,7 +99,7 @@ DriveResult drive(std::uint64_t seed, bool legacy_reparse) {
   // legacy flow) must also be byte-identical.
   topo.set_data_plane_time(2'000'000 + 24 * 3600);
   client_front->send_to(ScionEndpoint{topo.scion_addr(back), 7000},
-                        forward_paths.front().dataplane(), from_string("expired"));
+                        WirePath(forward_paths.front().dataplane()), from_string("expired"));
   sim.run();
 
   for (const IsdAsn ia : topo.all_ases()) {
@@ -211,7 +211,8 @@ TEST(ZeroCopyDataPlane, HostHeaderParseAllocationsDoNotGrowWithHopCount) {
   if (!testsupport::alloc_probe_active()) {
     GTEST_SKIP() << "counting allocator disabled under sanitizers";
   }
-  // parse_scion_packet runs on every packet a host receives. Its allocations
+  // parse_scion_packet materializes a header for SCMP origination and the
+  // legacy reparse (hosts receive through ScionHeaderView). Its allocations
   // are the segment and hop-field vectors, never one per hop field.
   const auto allocations_to_parse = [](std::size_t hops) {
     ScionHeader header;
@@ -341,7 +342,7 @@ struct MemoWorld {
     back = world.hosts.back();
     path = topo.daemon_for(front).query_now(topo.as_of(back)).front().dataplane();
     sink = topo.scion_stack(back).bind(
-        7000, [this](const ScionEndpoint&, const DataplanePath&, net::PacketView) {
+        7000, [this](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) {
           ++delivered;
         });
     client = topo.scion_stack(front).bind(0, nullptr);
@@ -350,7 +351,8 @@ struct MemoWorld {
   }
 
   void send(const DataplanePath& p) {
-    client->send_to(ScionEndpoint{world.topo->scion_addr(back), 7000}, p, from_string("m"));
+    client->send_to(ScionEndpoint{world.topo->scion_addr(back), 7000}, WirePath(p),
+                    from_string("m"));
     sim.run();
   }
 

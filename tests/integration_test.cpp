@@ -6,6 +6,7 @@
 #include "core/scenarios.hpp"
 #include "http/file_server.hpp"
 #include "ppl/parser.hpp"
+#include "scion/border_router.hpp"
 
 namespace pan::browser {
 namespace {
@@ -232,6 +233,97 @@ TEST(IntegrationTest, PathMigrationMidConnection) {
   world->sim().run_until_condition([&] { return done == 2; },
                                    world->sim().now() + seconds(30));
   EXPECT_EQ(done, 2);
+}
+
+TEST(IntegrationTest, ServerFollowsMigrationWhenOldPathDies) {
+  // PathMigrationMidConnection keeps both paths alive, so a server that
+  // kept replying over the old path would pass it. Here the old path loses a
+  // link right after the client migrates: the fetch completes only if the
+  // server re-derives its reply path from the client's new one.
+  auto world = make_remote_world();
+  auto& topo = world->topology();
+  const auto rp = topo.host_by_name("far-rp1");
+  auto& fs = *world->site("www.far.example");
+  fs.add_blob("/a", 2'000);
+  fs.add_blob("/b", 20'000);
+
+  const auto paths = topo.daemon_for(world->client).query_now(topo.as_of(rp));
+  ASSERT_GE(paths.size(), 2u);
+  const scion::Path& old_path = paths[0];
+  // A new path that avoids one inter-AS link of the old path.
+  const scion::Path* new_path = nullptr;
+  scion::PathHop dead_hop;
+  for (std::size_t i = 1; i < paths.size() && new_path == nullptr; ++i) {
+    for (const scion::PathHop& hop : old_path.hops()) {
+      if (hop.egress != scion::kNoIface && !paths[i].uses_interface(hop.isd_as, hop.egress)) {
+        new_path = &paths[i];
+        dead_hop = hop;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(new_path, nullptr);
+
+  http::ScionHttpConnection conn(topo.scion_stack(world->client),
+                                 scion::ScionEndpoint{topo.scion_addr(rp), 80},
+                                 old_path.dataplane());
+  http::HttpRequest req;
+  req.target = "/a";
+  req.headers.set("Host", "www.far.example");
+  int done = 0;
+  const auto expect_body = [&](std::size_t size) {
+    return [&done, size](Result<http::HttpResponse> r) {
+      ASSERT_TRUE(r.ok()) << r.error();
+      EXPECT_EQ(r.value().body.size(), size);
+      ++done;
+    };
+  };
+  conn.fetch(req, expect_body(2'000));
+  world->sim().run_until_condition([&] { return done == 1; },
+                                   world->sim().now() + seconds(30));
+  ASSERT_EQ(done, 1);
+
+  // The path section of every datagram the server sends from here on, read
+  // off the wire as it leaves the server's host.
+  const net::NodeId rp_node = topo.host(rp).node();
+  std::vector<Bytes> sent_paths;
+  topo.network().set_tracer([&](const net::TraceEvent& event) {
+    if (event.kind != net::TraceEvent::Kind::kSend || event.from != rp_node ||
+        event.proto != net::Protocol::kScion) {
+      return;
+    }
+    const auto view = scion::ScionHeaderView::parse(event.packet->payload.span());
+    ASSERT_TRUE(view.ok());
+    const auto path = view.value().path_bytes();
+    sent_paths.emplace_back(path.begin(), path.end());
+  });
+
+  conn.set_path(new_path->dataplane());
+  net::Network& network = topo.network();
+  bool link_taken_down = false;
+  for (net::NodeId node = 0; node < network.node_count(); ++node) {
+    const std::string& name = network.node_name(node);
+    if (name.starts_with("br-") && topo.as_by_name(name.substr(3)) == dead_hop.isd_as) {
+      network.set_link_up(node, scion::BorderRouter::to_net_if(dead_hop.egress), false);
+      link_taken_down = true;
+    }
+  }
+  ASSERT_TRUE(link_taken_down);
+  req.target = "/b";
+  conn.fetch(req, expect_body(20'000));
+  world->sim().run_until_condition([&] { return done == 2; },
+                                   world->sim().now() + seconds(30));
+  network.set_tracer(nullptr);
+  EXPECT_EQ(done, 2);
+
+  // Once the server switched to the new reply path it never went back.
+  const scion::WirePath reply(new_path->dataplane().reversed());
+  const Bytes expected(reply.bytes().begin(), reply.bytes().end());
+  const auto first_new = std::find(sent_paths.begin(), sent_paths.end(), expected);
+  ASSERT_NE(first_new, sent_paths.end());
+  EXPECT_TRUE(std::all_of(first_new, sent_paths.end(),
+                          [&](const Bytes& path) { return path == expected; }));
+  EXPECT_GT(sent_paths.end() - first_new, 10);
 }
 
 TEST(IntegrationTest, ManyTrialsAreDeterministicPerSeed) {

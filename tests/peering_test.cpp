@@ -132,17 +132,17 @@ TEST(PeeringTest, PeeringPathForwardsEndToEnd) {
   ASSERT_EQ(best.link_count(), 1u);
 
   std::string got;
-  DataplanePath reply;
+  WirePath reply;
   auto server = fx.topo->scion_stack(fx.host_d).bind(
-      7000, [&](const ScionEndpoint&, const DataplanePath& reply_path, net::PacketView payload) {
+      7000, [&](const ScionEndpoint&, const ScionHeaderView& header, net::PacketView payload) {
         got = to_string_view_copy(payload.span());
-        reply = reply_path;
+        reply = WirePath::reply_to(header);
       });
   auto client = fx.topo->scion_stack(fx.host_a).bind(
-      0, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView payload) {
+      0, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView payload) {
         got += "|" + to_string_view_copy(payload.span());
       });
-  client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 7000}, best.dataplane(),
+  client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 7000}, WirePath(best.dataplane()),
                   from_string("over-peering"));
   fx.sim.run();
   ASSERT_EQ(got, "over-peering");
@@ -161,10 +161,10 @@ TEST(PeeringTest, EveryOfferedPathForwards) {
   const auto paths = fx.topo->daemon(fx.ia("a")).query_now(fx.ia("d"));
   int received = 0;
   auto server = fx.topo->scion_stack(fx.host_d).bind(
-      7000, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) { ++received; });
+      7000, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) { ++received; });
   auto client = fx.topo->scion_stack(fx.host_a).bind(0, nullptr);
   for (const Path& path : paths) {
-    client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 7000}, path.dataplane(),
+    client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 7000}, WirePath(path.dataplane()),
                     from_string("x"));
   }
   fx.sim.run();
@@ -184,9 +184,9 @@ TEST(PeeringTest, ForgedPeerHopRejected) {
   forged.segments[0].hops.back().in_if ^= 0x5;
   int received = 0;
   auto server = fx.topo->scion_stack(fx.host_d).bind(
-      7000, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) { ++received; });
+      7000, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) { ++received; });
   auto client = fx.topo->scion_stack(fx.host_a).bind(0, nullptr);
-  client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 7000}, forged,
+  client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 7000}, WirePath(forged),
                   from_string("evil"));
   fx.sim.run();
   EXPECT_EQ(received, 0);

@@ -7,6 +7,7 @@
 #include "ppl/geofence.hpp"
 #include "ppl/parser.hpp"
 #include "proxy/overload.hpp"
+#include "scion/header.hpp"
 #include "scion/topo_gen.hpp"
 #include "util/rng.hpp"
 
@@ -82,15 +83,13 @@ TEST_P(RandomTopology, BestPathForwardsEndToEnd) {
   ASSERT_FALSE(paths.empty());
 
   std::string got;
-  DataplanePath reply_path;
   auto server = topo.scion_stack(dst_host).bind(
-      7777, [&](const ScionEndpoint&, const DataplanePath& reply, net::PacketView payload) {
+      7777, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView payload) {
         got = to_string_view_copy(payload.span());
-        reply_path = reply;
       });
   auto client = topo.scion_stack(src_host).bind(0, nullptr);
-  client->send_to(ScionEndpoint{topo.scion_addr(dst_host), 7777}, paths.front().dataplane(),
-                  from_string("prop"));
+  client->send_to(ScionEndpoint{topo.scion_addr(dst_host), 7777},
+                  WirePath(paths.front().dataplane()), from_string("prop"));
   sim_.run();
   if (paths.front().meta().loss_rate == 0.0) {
     EXPECT_EQ(got, "prop") << paths.front().to_string();
@@ -118,14 +117,14 @@ TEST_P(RandomTopology, EveryPathOfOnePairForwards) {
   int received = 0;
   auto server = topo.scion_stack(dst_host).bind(
       7777,
-      [&](const ScionEndpoint&, const DataplanePath&, net::PacketView) { ++received; });
+      [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView) { ++received; });
   auto client = topo.scion_stack(src_host).bind(0, nullptr);
   int sent_lossless = 0;
   bool any_lossy = false;
   for (const Path& path : paths) {
     if (path.meta().loss_rate == 0.0) {
       ++sent_lossless;
-      client->send_to(ScionEndpoint{topo.scion_addr(dst_host), 7777}, path.dataplane(),
+      client->send_to(ScionEndpoint{topo.scion_addr(dst_host), 7777}, WirePath(path.dataplane()),
                       from_string("x"));
     } else {
       any_lossy = true;
@@ -134,6 +133,81 @@ TEST_P(RandomTopology, EveryPathOfOnePairForwards) {
   sim_.run();
   EXPECT_EQ(received, sent_lossless);
   (void)any_lossy;
+}
+
+/// A SCION packet from `src` to `dst` over `path`, as an end host sends it.
+Bytes wire_packet(const ScionAddr& src, const ScionAddr& dst, const WirePath& path) {
+  ScionHeader header;
+  header.src = src;
+  header.dst = dst;
+  header.src_port = 4000;
+  header.dst_port = 7777;
+  ByteWriter w;
+  write_scion_header(w, header, path);
+  w.raw(from_string("payload"));
+  return std::move(w).take();
+}
+
+TEST_P(RandomTopology, WirePathMatchesMaterializedPath) {
+  TopoGenParams params;
+  params.leaves_per_core = 1;  // keep the pair set small
+  build(params);
+  Topology& topo = *world_.topo;
+  const HostId src_host = world_.hosts.front();
+  const HostId dst_host = world_.hosts.back();
+  const ScionAddr src = topo.scion_addr(src_host);
+  const ScionAddr dst = topo.scion_addr(dst_host);
+  const auto paths = topo.daemon_for(src_host).query_now(topo.as_of(dst_host));
+  ASSERT_FALSE(paths.empty());
+
+  for (const Path& p : paths) {
+    const DataplanePath& forward = p.dataplane();
+    const Bytes wire = wire_packet(src, dst, WirePath(forward));
+    // Encoding then parsing gives the path back.
+    const auto parsed = parse_scion_packet(wire);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().header.path, forward) << p.to_string();
+    EXPECT_EQ(to_string_view_copy(parsed.value().payload), "payload");
+    const auto view = ScionHeaderView::parse(wire);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view.value().header_size(), WirePath(forward).header_size());
+
+    // Byte-level reversal equals encoding the materialized reversal.
+    const WirePath reply = WirePath::reply_to(view.value());
+    EXPECT_EQ(reply, WirePath(forward.reversed())) << p.to_string();
+    EXPECT_FALSE(reply.empty());
+
+    // The kept reply path recognises its own path and no other of the pair.
+    for (const Path& q : paths) {
+      EXPECT_EQ(WirePath(q.dataplane().reversed()).is_reply_to(view.value()),
+                q.fingerprint() == p.fingerprint())
+          << p.to_string() << " vs " << q.to_string();
+    }
+
+    // Junk in a flag byte's high bits: the reversed bit alone decides, so the
+    // reply is the clean one (no spurious migration) and still equals the
+    // materialized reversal.
+    Bytes junk = wire;
+    junk[kScionFixedHeaderSize] |= 0xF6;
+    const auto junk_view = ScionHeaderView::parse(junk);
+    ASSERT_TRUE(junk_view.ok());
+    EXPECT_EQ(WirePath::reply_to(junk_view.value()), reply);
+    EXPECT_TRUE(reply.is_reply_to(junk_view.value()));
+    EXPECT_EQ(WirePath::reply_to(junk_view.value()),
+              WirePath(junk_view.value().materialize().path.reversed()));
+  }
+
+  // The intra-AS path: one zero count byte, no storage, its own reply.
+  const WirePath local;
+  EXPECT_TRUE(local.empty());
+  EXPECT_EQ(local, WirePath(DataplanePath{}));
+  EXPECT_EQ(local.header_size(), kScionFixedHeaderSize);
+  const Bytes local_wire = wire_packet(src, src, local);
+  const auto local_view = ScionHeaderView::parse(local_wire);
+  ASSERT_TRUE(local_view.ok());
+  EXPECT_TRUE(WirePath::reply_to(local_view.value()).empty());
+  EXPECT_TRUE(local.is_reply_to(local_view.value()));
+  EXPECT_FALSE(WirePath(paths.front().dataplane().reversed()).is_reply_to(local_view.value()));
 }
 
 TEST_P(RandomTopology, GeofenceConsistentWithPathContents) {
@@ -251,11 +325,11 @@ TEST_P(RandomTopology, ReservedProbeTraversesRandomWorld) {
   ASSERT_TRUE(id.ok()) << id.error();
   std::string got;
   auto server = topo.scion_stack(dst_host).bind(
-      8800, [&](const ScionEndpoint&, const DataplanePath&, net::PacketView payload) {
+      8800, [&](const ScionEndpoint&, const ScionHeaderView&, net::PacketView payload) {
         got = to_string_view_copy(payload.span());
       });
   auto client = topo.scion_stack(src_host).bind(0, nullptr);
-  client->send_to(ScionEndpoint{topo.scion_addr(dst_host), 8800}, lossless->dataplane(),
+  client->send_to(ScionEndpoint{topo.scion_addr(dst_host), 8800}, WirePath(lossless->dataplane()),
                   from_string("reserved"), id.value());
   sim_.run();
   EXPECT_EQ(got, "reserved");

@@ -334,7 +334,7 @@ struct DataplaneWorld {
     auto& topo = world->topology();
     server = topo.host_by_name("far-www");
     server_socket = topo.scion_stack(server).bind(
-        9000, [this](const scion::ScionEndpoint&, const scion::DataplanePath&, net::PacketView) {
+        9000, [this](const scion::ScionEndpoint&, const scion::ScionHeaderView&, net::PacketView) {
           ++delivered;
         });
   }
@@ -390,7 +390,7 @@ TEST_P(FuzzSeeds, BorderRouterRejectsMutatedPaths) {
     } else if (!corrupt) {
       ++sent_valid;
     }
-    client->send_to(target, path, from_string("probe"));
+    client->send_to(target, scion::WirePath(path), from_string("probe"));
   }
   dp.world->sim().run();
   // Every delivery must correspond to an unmutated path. (A mutation can by

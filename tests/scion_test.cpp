@@ -386,7 +386,7 @@ TEST(HeaderTest, SerializeParseRoundTrip) {
   header.cur_hop = 0;
   const Bytes payload = from_string("hello scion");
   const Bytes wire = serialize_scion_packet(header, payload);
-  EXPECT_EQ(wire.size(), scion_header_size(header.path) + payload.size());
+  EXPECT_EQ(wire.size(), WirePath(header.path).header_size() + payload.size());
 
   const auto parsed = parse_scion_packet(wire);
   ASSERT_TRUE(parsed.ok());
@@ -429,13 +429,14 @@ struct PingPong {
   PingPong() {
     ScionStack& server_stack = fx.topo->scion_stack(fx.host_d);
     server = server_stack.bind(
-        9000, [this](const ScionEndpoint& from, const DataplanePath& reply, net::PacketView payload) {
+        9000, [this](const ScionEndpoint& from, const ScionHeaderView& header,
+                     net::PacketView payload) {
           server_got = to_string_view_copy(payload.span());
-          server->send_to(from, reply, from_string("pong"));
+          server->send_to(from, WirePath::reply_to(header), from_string("pong"));
         });
     ScionStack& client_stack = fx.topo->scion_stack(fx.host_a);
     client = client_stack.bind(
-        0, [this](const ScionEndpoint&, const DataplanePath&, net::PacketView payload) {
+        0, [this](const ScionEndpoint&, const ScionHeaderView&, net::PacketView payload) {
           client_got = to_string_view_copy(payload.span());
         });
   }
@@ -445,7 +446,7 @@ TEST(DataplaneTest, EndToEndPingPong) {
   PingPong world;
   const auto paths = world.fx.topo->daemon(world.fx.ia("a")).query_now(world.fx.ia("d"));
   world.client->send_to(ScionEndpoint{world.fx.topo->scion_addr(world.fx.host_d), 9000},
-                        paths.front().dataplane(), from_string("ping"));
+                        WirePath(paths.front().dataplane()), from_string("ping"));
   world.fx.sim.run();
   EXPECT_EQ(world.server_got, "ping");
   EXPECT_EQ(world.client_got, "pong");
@@ -468,7 +469,7 @@ TEST(DataplaneTest, EveryCandidatePathWorks) {
     }
     ASSERT_NE(chosen, nullptr);
     world.client->send_to(ScionEndpoint{world.fx.topo->scion_addr(world.fx.host_d), 9000},
-                          chosen->dataplane(), from_string("ping"));
+                          WirePath(chosen->dataplane()), from_string("ping"));
     world.fx.sim.run();
     EXPECT_EQ(world.client_got, "pong") << chosen->to_string();
   }
@@ -479,13 +480,13 @@ TEST(DataplaneTest, IntraAsDelivery) {
   ScionStack& stack_a = fx.topo->scion_stack(fx.host_a);
   ScionStack& stack_a2 = fx.topo->scion_stack(fx.host_a2);
   std::string got;
-  auto server = stack_a2.bind(9001, [&](const ScionEndpoint&, const DataplanePath& reply,
+  auto server = stack_a2.bind(9001, [&](const ScionEndpoint&, const ScionHeaderView& header,
                                         net::PacketView payload) {
     got = to_string_view_copy(payload.span());
-    EXPECT_TRUE(reply.empty());
+    EXPECT_TRUE(WirePath::reply_to(header).empty());
   });
   auto client = stack_a.bind(0, nullptr);
-  client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_a2), 9001}, DataplanePath{},
+  client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_a2), 9001}, WirePath(),
                   from_string("local"));
   fx.sim.run();
   EXPECT_EQ(got, "local");
@@ -498,7 +499,7 @@ TEST(DataplaneTest, ForgedHopFieldDropped) {
   // A host tries to reroute by rewriting an interface without the AS key.
   forged.segments.back().hops.back().in_if ^= 0x3;
   world.client->send_to(ScionEndpoint{world.fx.topo->scion_addr(world.fx.host_d), 9000},
-                        forged, from_string("evil"));
+                        WirePath(forged), from_string("evil"));
   world.fx.sim.run();
   EXPECT_EQ(world.server_got, "");
   std::uint64_t mac_drops = 0;
@@ -526,7 +527,7 @@ TEST(DataplaneTest, SpoofedPathWithoutKeysDropped) {
   DataplanePath forged;
   forged.segments.push_back(seg);
   world.client->send_to(ScionEndpoint{world.fx.topo->scion_addr(world.fx.host_d), 9000},
-                        forged, from_string("evil"));
+                        WirePath(forged), from_string("evil"));
   world.fx.sim.run();
   EXPECT_EQ(world.server_got, "");
 }
@@ -538,13 +539,13 @@ TEST(DataplaneTest, UnsignedTopologyStillForwards) {
   ScionStack& stack_a = fx.topo->scion_stack(fx.host_a);
   ScionStack& stack_d = fx.topo->scion_stack(fx.host_d);
   std::string got;
-  auto server = stack_d.bind(9000, [&](const ScionEndpoint&, const DataplanePath&,
+  auto server = stack_d.bind(9000, [&](const ScionEndpoint&, const ScionHeaderView&,
                                        net::PacketView payload) { got = to_string_view_copy(payload.span()); });
   auto client = stack_a.bind(0, nullptr);
   const auto paths = fx.topo->daemon(fx.ia("a")).query_now(fx.ia("d"));
   ASSERT_FALSE(paths.empty());
   client->send_to(ScionEndpoint{fx.topo->scion_addr(fx.host_d), 9000},
-                  paths.front().dataplane(), from_string("x"));
+                  WirePath(paths.front().dataplane()), from_string("x"));
   fx.sim.run();
   EXPECT_EQ(got, "x");
 }

@@ -113,7 +113,7 @@ TEST(ScmpTest, LinkDownGeneratesReportToSource) {
       [&](const scion::ScmpMessage& m) { reports.push_back(m); });
   auto socket = stack.bind(0, nullptr);
   socket->send_to(scion::ScionEndpoint{topo.scion_addr(fx.server), 9000},
-                  paths.front().dataplane(), from_string("probe"));
+                  scion::WirePath(paths.front().dataplane()), from_string("probe"));
   fx.world->sim().run();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].type, scion::ScmpType::kLinkDown);
@@ -135,7 +135,7 @@ TEST(ScmpTest, ExpiredHopGeneratesReport) {
   stack.subscribe_scmp([&](const scion::ScmpMessage& m) { reports.push_back(m); });
   auto socket = stack.bind(0, nullptr);
   socket->send_to(scion::ScionEndpoint{topo.scion_addr(server), 9000},
-                  paths.front().dataplane(), from_string("probe"));
+                  scion::WirePath(paths.front().dataplane()), from_string("probe"));
   world->sim().run();
   ASSERT_GE(reports.size(), 1u);
   EXPECT_EQ(reports[0].type, scion::ScmpType::kExpiredHop);
@@ -157,7 +157,7 @@ TEST(ScmpTest, NoReportLoopsForScmpPackets) {
   auto socket = stack.bind(0, nullptr);
   for (int i = 0; i < 3; ++i) {
     socket->send_to(scion::ScionEndpoint{topo.scion_addr(fx.server), 9000},
-                    paths.front().dataplane(), from_string("p"));
+                    scion::WirePath(paths.front().dataplane()), from_string("p"));
   }
   fx.world->sim().run();
   EXPECT_EQ(reports, 3);

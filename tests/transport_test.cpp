@@ -1,15 +1,18 @@
 // Tests for the transport engine: frames, handshake, reliable delivery,
 // multiplexing, loss recovery, congestion behaviour, timeouts, round-robin
-// send order, stream retirement, and the allocations a bulk write costs.
+// send order, stream retirement, and the allocations a bulk write costs
+// (over a bare pair and over real SCION paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "core/scenarios.hpp"
 #include "http/client.hpp"
 #include "http/file_server.hpp"  // generate_blob for payload integrity
 #include "net/host.hpp"
 #include "net/router.hpp"
 #include "support/alloc_probe.hpp"
+#include "transport/scion_host.hpp"
 #include "transport/udp_host.hpp"
 
 namespace pan::transport {
@@ -751,6 +754,93 @@ TEST(ConnectionTest, BulkWriteCostsAtMostThreeAllocationsPerPacket) {
   for (const std::size_t size : {30'000u, 300'000u, 3'000'000u}) {
     EXPECT_LE(allocations_per_packet(size), 3.0) << size << "-byte write";
   }
+}
+
+/// Heap allocations per packet sent (data and ACKs, both ends) while a fresh,
+/// established ScionTransportClient/Server pair moves one write of `size`
+/// bytes from `client` to `server` over the best path between them: every
+/// datagram is prepended, forwarded by the border routers and validated at
+/// the receiving stack. `segments` reports the path's segment count.
+double scion_allocations_per_packet(browser::World& world, scion::HostId client,
+                                    scion::HostId server, std::size_t size,
+                                    std::size_t& segments) {
+  scion::Topology& topo = world.topology();
+  const auto paths = topo.daemon_for(client).query_now(topo.as_of(server));
+  EXPECT_FALSE(paths.empty());
+  if (paths.empty()) return 0;
+  segments = paths.front().dataplane().segments.size();
+
+  const Bytes blob = http::generate_blob(size, 9);
+  std::size_t received = 0;
+  bool intact = true;
+  bool fin = false;
+  Connection* server_conn = nullptr;
+  ScionTransportServer transport_server(
+      topo.scion_stack(server), 4433, quic_config(), [&](Connection& conn) {
+        server_conn = &conn;
+        conn.set_on_stream([&](Stream& stream) {
+          stream.set_on_data([&](std::span<const std::uint8_t> data, bool last) {
+            intact = intact && std::equal(data.begin(), data.end(), blob.begin() + received);
+            received += data.size();
+            fin = last;
+          });
+        });
+      });
+  ScionTransportClient transport_client(topo.scion_stack(client),
+                                        scion::ScionEndpoint{topo.scion_addr(server), 4433},
+                                        paths.front().dataplane(), quic_config());
+  Connection& conn = transport_client.connection();
+  sim::Simulator& sim = world.sim();
+  conn.start();
+  EXPECT_TRUE(sim.run_until_condition(
+      [&] { return conn.state() == Connection::State::kEstablished && server_conn != nullptr; },
+      sim.now() + seconds(5)));
+  if (server_conn == nullptr) return 0;
+  const auto packets = [&] {
+    return conn.stats().packets_sent + server_conn->stats().packets_sent;
+  };
+  const std::uint64_t packets_before = packets();
+  const std::uint64_t allocations_before = testsupport::allocation_count();
+  Stream& stream = conn.open_stream();
+  stream.write(blob);
+  stream.finish();
+  EXPECT_TRUE(sim.run_until_condition([&] { return fin; }, sim.now() + seconds(60)));
+  const std::uint64_t allocations = testsupport::allocation_count() - allocations_before;
+  const std::uint64_t sent = packets() - packets_before;
+  EXPECT_EQ(received, size);
+  EXPECT_TRUE(intact);
+  EXPECT_GT(sent, size / 1200);
+  return static_cast<double>(allocations) / static_cast<double>(sent);
+}
+
+TEST(ScionTransportTest, RemotePathCostsNoMoreAllocationsPerPacketThanLocal) {
+  if (!testsupport::alloc_probe_active()) {
+    GTEST_SKIP() << "counting allocator disabled under sanitizers";
+  }
+  // End hosts keep paths in wire form: a sender prepends its pre-encoded
+  // path and the receiver validates a view and compares bytes, so a
+  // multi-segment inter-ISD path costs no allocation the empty intra-AS path
+  // does not.
+  auto world = browser::make_remote_world();
+  scion::Topology& topo = world->topology();
+  const scion::HostId far_www = topo.host_by_name("far-www");
+  const scion::HostId far_static = topo.host_by_name("far-static");
+  const scion::HostId far_rp = topo.host_by_name("far-rp1");
+  double remote = 0;
+  double local = 0;
+  std::size_t remote_segments = 0;
+  std::size_t local_segments = 0;
+  // Each pair runs once unmeasured first, so one-time growth (the event
+  // heap's capacity, a router's first use) is not counted against it.
+  for (int run = 0; run < 2; ++run) {
+    remote = scion_allocations_per_packet(*world, world->client, far_rp, 300'000,
+                                          remote_segments);
+    local = scion_allocations_per_packet(*world, far_www, far_static, 300'000, local_segments);
+  }
+  EXPECT_GE(remote_segments, 2u);
+  EXPECT_EQ(local_segments, 0u);
+  EXPECT_LE(remote, local);
+  EXPECT_LE(remote, 3.0);
 }
 
 // ------------------------------------------------------ stream retirement --
