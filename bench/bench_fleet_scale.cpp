@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
       pass = false;
     }
     // Fixed p99.9 regression bound: a successful request costs at most one
-    // failover_timeout hedge plus generous fetch slack. Today's numbers are
+    // ProxyCluster::kFailoverTimeout hedge plus generous fetch slack. Today's numbers are
     // ~401 ms (N>=4, the hedged hang window) and ~5 ms (N=1, no hedging).
     const double p999_bound_ms = run.replicas >= 4 ? 500.0 : 100.0;
     if (run.p999_ms > p999_bound_ms) {

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 verification: a plain build + ctest, followed by an ASan+UBSan
-# instrumented build + ctest. Run from the repo root:
+# Tier-1 verification: the config lint, a plain build + ctest, then an
+# ASan+UBSan instrumented build + ctest. The config lint
+# (scripts/config_lint.py) fails when a *Config field in src/ is set
+# nowhere in src/, bench/, benchmark/, examples/ or tests/: such a value is
+# a named constant, not a field (DESIGN.md section 5o). Run from the repo
+# root:
 #
-#   scripts/check.sh              # both builds
-#   scripts/check.sh --fast       # plain build only
+#   scripts/check.sh              # config lint + both builds
+#   scripts/check.sh --fast       # config lint + plain build only
 #   scripts/check.sh --sanitize   # sanitized build only (CI matrix leg)
 #   scripts/check.sh --soak       # plain build, then loop the chaos + surge
 #                                 # suites until SOAK_BUDGET_S (default 120 s)
@@ -237,6 +241,8 @@ if [[ "${1:-}" == "--obs" ]]; then
 fi
 
 if [[ "${1:-}" != "--sanitize" ]]; then
+  echo "==> config lint: every config field is set somewhere"
+  python3 scripts/config_lint.py
   echo "==> tier-1: plain build + ctest"
   run_suite build
 fi

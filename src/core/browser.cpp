@@ -8,6 +8,10 @@ namespace pan::browser {
 
 namespace {
 constexpr std::string_view kLog = "browser";
+/// Document parse time before sub-resource fetches start.
+constexpr Duration kParseDelay = microseconds(500);
+/// Direct mode: pooled connections idle longer than this are evicted.
+constexpr Duration kPoolIdleTtl = seconds(60);
 }
 
 struct Browser::PageLoad {
@@ -33,7 +37,7 @@ http::OriginPoolConfig Browser::direct_pool_config(const BrowserConfig& config) 
   pool.name = "browser.direct";
   pool.max_conns_per_origin = config.max_conns_per_origin;
   pool.max_outstanding_per_conn = 1;  // browser-like: no pipelining
-  pool.idle_ttl = config.pool_idle_ttl;
+  pool.idle_ttl = kPoolIdleTtl;
   return pool;
 }
 
@@ -164,7 +168,7 @@ void Browser::fetch_via_extension(const std::shared_ptr<PageLoad>& page, std::si
             ++page->remaining;
             page->queue.push_back(page->result.resources.size() - 1);
           }
-          sim_.schedule_after(config_.parse_delay, [this, page] { pump_queue(page); });
+          sim_.schedule_after(kParseDelay, [this, page] { pump_queue(page); });
         }
         resource_done(page, index);
       },
@@ -238,7 +242,7 @@ void Browser::fetch_direct(const std::shared_ptr<PageLoad>& page, std::size_t in
               ++page->remaining;
               page->queue.push_back(page->result.resources.size() - 1);
             }
-            sim_.schedule_after(config_.parse_delay, [this, page] { pump_queue(page); });
+            sim_.schedule_after(kParseDelay, [this, page] { pump_queue(page); });
           }
           resource_done(page, index);
         },

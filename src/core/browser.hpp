@@ -26,17 +26,14 @@ inline constexpr int kMaxRedirects = 5;
 
 struct BrowserConfig {
   /// HTTP cache with ETag revalidation (If-None-Match / 304). Off by
-  /// default so cold-load experiments stay cold.
+  /// default so cold-load experiments stay cold. Set by
+  /// bench_ablation_cache (its cached arm), core_test, identity_test and
+  /// origin_pool_test.
   bool enable_cache = false;
   /// Max sub-resource fetches in flight at once.
   std::size_t max_concurrent_fetches = 6;
-  /// Document parse time before sub-resource fetches start.
-  Duration parse_delay = microseconds(500);
   /// Direct mode: max parallel legacy connections per origin.
   std::size_t max_conns_per_origin = 6;
-  /// Direct mode: pooled connections idle longer than this are evicted
-  /// (zero = keep forever).
-  Duration pool_idle_ttl = seconds(60);
   /// Cache entry cap; the least-recently-used entry is evicted beyond it
   /// (`browser.cache.evictions` counts them).
   std::size_t cache_max_entries = 512;

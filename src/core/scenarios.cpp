@@ -2,11 +2,17 @@
 
 namespace pan::browser {
 
+namespace {
+/// The multi-access client's second ("lte") access link: slower and
+/// narrower than the wired primary.
+constexpr Duration kLteLatency = milliseconds(15);
+constexpr double kLteBandwidthBps = 50e6;
+}  // namespace
+
 World::World(WorldConfig config) : config_(config) {
   injector_ = std::make_unique<fault::FaultInjector>(sim_);
   scion::TopologyConfig topo_config;
   topo_config.seed = config_.seed;
-  topo_config.daemon.lookup_latency = config_.daemon_latency;
   topo_config.metrics = config_.router_metrics;
   topo_ = std::make_unique<scion::Topology>(sim_, topo_config);
   injector_->attach_topology(*topo_);
@@ -157,8 +163,8 @@ std::unique_ptr<World> make_remote_world(const WorldConfig& config) {
     // access homed in near-as (client-as reaches core-1 at 2 ms, near-as at
     // 3 ms — the accesses are asymmetric end to end as well).
     net::LinkParams lte;
-    lte.latency = config.lte_latency;
-    lte.bandwidth_bps = config.lte_bandwidth_bps;
+    lte.latency = kLteLatency;
+    lte.bandwidth_bps = kLteBandwidthBps;
     lte.jitter_frac = config.link_jitter;
     world->client_lte = topo.add_host("near-as", "browser-lte", lte);
   }

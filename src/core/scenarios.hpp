@@ -34,7 +34,6 @@ struct WorldConfig {
   /// Latency jitter fraction on inter-AS links (gives PLT distributions).
   double link_jitter = 0.05;
   Duration dns_latency = milliseconds(4);
-  Duration daemon_latency = milliseconds(1);
   /// Core-link bandwidth (lowered by the multipath bench to create a
   /// bandwidth-bound regime where path aggregation pays off) and
   /// parent-child link bandwidth (the shared access segment).
@@ -49,12 +48,11 @@ struct WorldConfig {
   /// Multi-access client (remote world only): adds a second browser host
   /// ("browser-lte") in near-as so the client has two upstream links into
   /// different first-hop ASes. ClientSession then registers it as the "lte"
-  /// access on its SkipProxy. The lte knobs make the second access
-  /// asymmetric — slower and narrower than the wired primary — so
-  /// intent-aware scheduling has something to choose between.
+  /// access on its SkipProxy. The lte link (15 ms, 50 Mbps: kLteLatency and
+  /// kLteBandwidthBps in scenarios.cpp) is slower and narrower than the wired
+  /// primary, so intent-aware scheduling has something to choose between.
+  /// Set by bench_ablation_multipath and multiaccess_test.
   bool multi_access = false;
-  Duration lte_latency = milliseconds(15);
-  double lte_bandwidth_bps = 50e6;
   /// When set, every border router records its per-hop forward latency into
   /// a pre-registered `router.<ia>.forward_latency` histogram here. Must
   /// outlive the World.

@@ -6,6 +6,8 @@ namespace pan::http {
 
 namespace {
 constexpr std::string_view kLog = "multipath";
+/// Failover attempts on other channels when a fetch errors.
+constexpr std::size_t kMaxRetries = 2;
 }
 
 const char* to_string(MultipathConfig::Schedule s) {
@@ -142,12 +144,12 @@ std::size_t MultipathScionConnection::pick_for_intent(net::FetchIntent intent) {
 
 void MultipathScionConnection::fetch(const HttpRequest& request,
                                      HttpClientStream::ResponseFn on_response) {
-  attempt(request, std::nullopt, std::move(on_response), config_.max_retries);
+  attempt(request, std::nullopt, std::move(on_response), kMaxRetries);
 }
 
 void MultipathScionConnection::fetch(const HttpRequest& request, net::FetchIntent intent,
                                      HttpClientStream::ResponseFn on_response) {
-  attempt(request, intent, std::move(on_response), config_.max_retries);
+  attempt(request, intent, std::move(on_response), kMaxRetries);
 }
 
 void MultipathScionConnection::attempt(const HttpRequest& request,

@@ -23,8 +23,6 @@ struct MultipathConfig {
     kWeightedLatency,   // minimize (outstanding+1) * path latency
   };
   Schedule schedule = Schedule::kLeastOutstanding;
-  /// Failover attempts on other channels when a fetch errors.
-  std::size_t max_retries = 2;
   /// Bounded re-dial: a channel whose transport dies is re-dialed on its
   /// path (exponential backoff: redial_backoff * 2^n) up to max_redials
   /// consecutive times, so a long transfer recovers full striping width

@@ -12,6 +12,24 @@ namespace pan::net {
 namespace {
 
 constexpr std::string_view kProbePrefix = "ma-probe:";
+/// Consecutive probe replies before a down access is declared back up.
+constexpr std::size_t kUpAfterHits = 2;
+/// Probe-RTT EWMA smoothing factor.
+constexpr double kEwmaAlpha = 0.3;
+/// EWMA above best-observed * factor flags the access degraded (brownout);
+/// recovery below 0.8 * the degrade threshold (hysteresis) restores it.
+constexpr double kDegradeRttFactor = 4.0;
+/// Absolute floor on the brownout threshold: the EWMA must also exceed
+/// best + this excess. A sub-millisecond wired access would otherwise flap
+/// degraded on microseconds of queueing that no page load can feel.
+constexpr Duration kDegradeMinExcess = milliseconds(10);
+/// The latency-critical pick compares accesses by EWMA with degraded ones
+/// handicapped by this factor: a brownout access that is still several
+/// times faster than the healthy alternative keeps the documents (its
+/// queueing is self-inflicted load, not an outage), while a genuinely slow
+/// brownout loses the pin. Degraded accesses with an active failure streak
+/// are avoided outright — their fetches are failing, not just slow.
+constexpr double kDegradedLatencyPenalty = 2.0;
 
 }  // namespace
 
@@ -114,7 +132,7 @@ void MultiAccessHost::record_result(const std::string& name, bool ok, Duration /
     // than the RTT hysteresis: restore it once the streak clears.
     if (access->health == AccessHealth::kDegraded &&
         (access->best == Duration::zero() ||
-         access->ewma <= access->best.scaled(config_.degrade_rtt_factor))) {
+         access->ewma <= access->best.scaled(kDegradeRttFactor))) {
       set_health(*access, AccessHealth::kHealthy);
     }
     return;
@@ -257,7 +275,7 @@ Duration MultiAccessHost::effective_ewma(const Access& access) const {
   // nothing a latency comparison can vouch for — avoid unless it is the
   // only access left.
   if (access.failure_streak > 0 || access.ewma == Duration::zero()) return Duration::max();
-  return access.ewma.scaled(config_.degraded_latency_penalty);
+  return access.ewma.scaled(kDegradedLatencyPenalty);
 }
 
 std::vector<std::pair<std::size_t, double>> MultiAccessHost::weights_over(
@@ -313,8 +331,7 @@ void MultiAccessHost::fold_rtt(Access& access, Duration rtt) {
   if (access.ewma == Duration::zero()) {
     access.ewma = rtt;
   } else {
-    const double alpha = config_.ewma_alpha;
-    access.ewma = rtt.scaled(alpha) + access.ewma.scaled(1.0 - alpha);
+    access.ewma = rtt.scaled(kEwmaAlpha) + access.ewma.scaled(1.0 - kEwmaAlpha);
   }
   if (access.best == Duration::zero() || access.ewma < access.best) {
     access.best = access.ewma;
@@ -322,8 +339,8 @@ void MultiAccessHost::fold_rtt(Access& access, Duration rtt) {
   // Brownout detection with hysteresis: degrade above
   // max(best * factor, best + min_excess) — the absolute floor keeps a
   // sub-millisecond access from flapping on queueing no page load can feel.
-  const Duration threshold = std::max(access.best.scaled(config_.degrade_rtt_factor),
-                                      access.best + config_.degrade_min_excess);
+  const Duration threshold = std::max(access.best.scaled(kDegradeRttFactor),
+                                      access.best + kDegradeMinExcess);
   if (access.health == AccessHealth::kHealthy && access.ewma > threshold) {
     set_health(access, AccessHealth::kDegraded);
   } else if (access.health == AccessHealth::kDegraded && access.failure_streak == 0 &&
@@ -374,7 +391,7 @@ void MultiAccessHost::on_probe_reply(std::size_t index, std::uint64_t seq) {
     access.misses = 0;
     access.last_reply = sim_.now();
     if (access.health == AccessHealth::kDown &&
-        ++access.hits >= config_.up_after_hits) {
+        ++access.hits >= kUpAfterHits) {
       set_health(access, AccessHealth::kHealthy);
     }
     fold_rtt(access, rtt);
@@ -386,7 +403,7 @@ void MultiAccessHost::on_probe_reply(std::size_t index, std::uint64_t seq) {
   access.misses = 0;
   access.last_reply = sim_.now();
   if (access.health == AccessHealth::kDown) {
-    if (++access.hits >= config_.up_after_hits) {
+    if (++access.hits >= kUpAfterHits) {
       set_health(access, AccessHealth::kHealthy);
     }
   }

@@ -57,29 +57,12 @@ struct MultiAccessConfig {
   /// the slowest access-link latency). A reply that straggles in later still
   /// resets the miss streak: lateness (queueing) is not silence (outage).
   Duration probe_timeout = milliseconds(250);
-  /// Consecutive probe misses before an access is declared down, and
-  /// consecutive probe replies before a down access is declared back up.
+  /// Consecutive probe misses before an access is declared down (two
+  /// consecutive probe replies, kUpAfterHits, bring it back up).
   std::size_t down_after_misses = 3;
-  std::size_t up_after_hits = 2;
-  /// Probe-RTT EWMA smoothing factor.
-  double ewma_alpha = 0.3;
-  /// EWMA above best-observed * factor flags the access degraded (brownout);
-  /// recovery below 0.8 * the degrade threshold (hysteresis) restores it.
-  double degrade_rtt_factor = 4.0;
-  /// Absolute floor on the brownout threshold: the EWMA must also exceed
-  /// best + this excess. A sub-millisecond wired access would otherwise flap
-  /// degraded on microseconds of queueing that no page load can feel.
-  Duration degrade_min_excess = milliseconds(10);
   /// Consecutive passive fetch failures that flag a healthy access degraded
   /// even while its (small) probes still get through.
   std::size_t degrade_after_failures = 3;
-  /// The latency-critical pick compares accesses by EWMA with degraded ones
-  /// handicapped by this factor: a brownout access that is still several
-  /// times faster than the healthy alternative keeps the documents (its
-  /// queueing is self-inflicted load, not an outage), while a genuinely slow
-  /// brownout loses the pin. Degraded accesses with an active failure streak
-  /// are avoided outright — their fetches are failing, not just slow.
-  double degraded_latency_penalty = 2.0;
   /// Bulk striping weights are inverse probe RTT, but clamped to at most
   /// this ratio between the heaviest and lightest access: striping is about
   /// aggregating bandwidth, and raw inverse RTT would starve a slow-but-fat

@@ -52,9 +52,7 @@ struct TraceRecord {
 };
 
 struct CollectorConfig {
-  std::size_t max_traces = 128;          ///< Retained finished traces (ring).
-  std::size_t max_spans_per_trace = 64;  ///< Excess spans are counted, dropped.
-  std::size_t max_pending = 256;         ///< In-flight traces (oldest evicted).
+  std::size_t max_traces = 128;  ///< Retained finished traces (ring).
   /// Head-sampling rates per priority class: keep 1 in N. 1 = keep all,
   /// 0 = keep none (errors still force retention at finalize).
   std::uint32_t sample_document = 1;
@@ -78,7 +76,7 @@ class TraceCollector {
 
   /// Ends a trace: retains its spans as a TraceRecord when `keep`, discards
   /// them otherwise. Idempotent per trace id (later spans for the same id
-  /// would start a new pending entry — bounded by max_pending).
+  /// would start a new pending entry — bounded by kMaxPending).
   void finalize(std::uint64_t trace_id, std::string_view outcome, bool keep);
 
   /// Attaches flight-recorder events to a finished trace (the 5xx auto-dump

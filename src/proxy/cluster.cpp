@@ -10,6 +10,22 @@ namespace pan::proxy {
 
 namespace {
 constexpr std::string_view kLog = "fleet";
+/// Consistent-hash ring points per replica (more = smoother spread).
+constexpr std::size_t kVnodesPerReplica = 16;
+/// Consecutive probe misses that mark a replica degraded / down.
+constexpr std::size_t kProbeMissDegraded = 1;
+constexpr std::size_t kProbeMissDown = 3;
+/// EWMA weight of each answer (1 = error/timeout, 0 = success).
+constexpr double kErrorEwmaAlpha = 0.2;
+/// EWMA above this marks a healthy replica degraded; recovery at half.
+constexpr double kDegradedErrorRate = 0.5;
+/// Hedged re-dispatches per request after the first attempt.
+constexpr std::size_t kMaxFailovers = 2;
+/// Slack kept before the request deadline: the terminal 503 must win the
+/// race against the replica's own 504 deadline timer.
+constexpr Duration kFailoverMargin = milliseconds(50);
+/// Retry-After advertised on a terminal fleet shed (503).
+constexpr Duration kShedRetryAfter = seconds(1);
 
 /// FNV-1a over the key, finished with a splitmix round so nearby keys
 /// ("rep-0#1" / "rep-0#2") land far apart on the ring.
@@ -59,12 +75,11 @@ ProxyCluster::ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionSta
       fleet_series_(*metrics_, config_.timeseries, sim.now()),
       alive_(std::make_shared<bool>(true)) {
   config_.replicas = std::max<std::size_t>(1, config_.replicas);
-  config_.vnodes_per_replica = std::max<std::size_t>(1, config_.vnodes_per_replica);
   replicas_.resize(config_.replicas);
   for (std::size_t i = 0; i < config_.replicas; ++i) {
     replicas_[i].name = config_.replica_name_prefix + std::to_string(i);
     build_replica(i);
-    for (std::size_t v = 0; v < config_.vnodes_per_replica; ++v) {
+    for (std::size_t v = 0; v < kVnodesPerReplica; ++v) {
       ring_.emplace_back(ring_hash(replicas_[i].name + "#" + std::to_string(v)), i);
     }
   }
@@ -250,8 +265,8 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
 }
 
 void ProxyCluster::arm_failover_timer(const PendingPtr& pending) {
-  const TimePoint final_check = pending->deadline - config_.failover_margin;
-  TimePoint when = std::min(final_check, sim_.now() + config_.failover_timeout);
+  const TimePoint final_check = pending->deadline - kFailoverMargin;
+  TimePoint when = std::min(final_check, sim_.now() + kFailoverTimeout);
   if (when < sim_.now()) when = sim_.now();
   const std::uint64_t attempt = pending->attempt;
   sim_.schedule_at(when, [this, alive = alive_, pending, attempt] {
@@ -266,10 +281,10 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
   // An unanswered attempt is a passive health strike against its replica.
   record_answer(pending->replica_index, /*error=*/true);
 
-  const TimePoint final_check = pending->deadline - config_.failover_margin;
+  const TimePoint final_check = pending->deadline - kFailoverMargin;
   const bool budget_left = sim_.now() < final_check;
   const int next =
-      budget_left && pending->failovers < config_.max_failovers
+      budget_left && pending->failovers < kMaxFailovers
           ? route(pending->origin_key, pending->tried)
           : -1;
   if (next >= 0) {
@@ -305,7 +320,7 @@ void ProxyCluster::shed(const PendingPtr& pending, const std::string& why) {
   result.transport = TransportUsed::kError;
   result.outcome = "fleet-shed";
   result.response =
-      http::make_retry_after_response(503, config_.shed_retry_after, "fleet: " + why);
+      http::make_retry_after_response(503, kShedRetryAfter, "fleet: " + why);
   deliver(pending, std::move(result));
 }
 
@@ -388,7 +403,7 @@ void ProxyCluster::forward_internal(http::HttpRequest request, ProxyRequestOptio
   ProxyResult result;
   result.transport = TransportUsed::kError;
   result.outcome = "fleet-shed";
-  result.response = http::make_retry_after_response(503, config_.shed_retry_after,
+  result.response = http::make_retry_after_response(503, kShedRetryAfter,
                                                     "fleet: no live replica");
   if (on_result) on_result(std::move(result));
 }
@@ -478,7 +493,7 @@ void ProxyCluster::drain_replica(const std::string& name) {
   rep->snapshot.taken = true;
   rep->snapshot.taken_at = sim_.now();
   const std::uint64_t generation = rep->generation;
-  sim_.schedule_after(config_.drain_grace, [this, alive = alive_, index, generation] {
+  sim_.schedule_after(kDrainGrace, [this, alive = alive_, index, generation] {
     if (*alive) complete_drain(index, generation);
   });
 }
@@ -588,22 +603,22 @@ void ProxyCluster::probe(std::size_t index) {
       // A successful probe is a success sample: without this, a replica
       // whose EWMA was driven up by a since-cleared wedge would never earn
       // its way back (nobody routes to it, so no answers decay the EWMA).
-      rep.error_ewma *= 1.0 - config_.error_ewma_alpha;
+      rep.error_ewma *= 1.0 - kErrorEwmaAlpha;
       if (!rep.draining &&
           (rep.health == ReplicaHealth::kDegraded || rep.health == ReplicaHealth::kDown) &&
-          rep.error_ewma <= config_.degraded_error_rate) {
+          rep.error_ewma <= kDegradedErrorRate) {
         set_health(rep, ReplicaHealth::kHealthy, "probe-ok");
       }
       return;
     }
     ++rep.probe_misses;
     count("fleet.probe_misses");
-    if (rep.probe_misses >= config_.probe_miss_down) {
+    if (rep.probe_misses >= kProbeMissDown) {
       if (rep.health != ReplicaHealth::kDown) {
         set_health(rep, ReplicaHealth::kDown,
                    "probe-miss x" + std::to_string(rep.probe_misses));
       }
-    } else if (rep.probe_misses >= config_.probe_miss_degraded && !rep.draining &&
+    } else if (rep.probe_misses >= kProbeMissDegraded && !rep.draining &&
                rep.health == ReplicaHealth::kHealthy) {
       set_health(rep, ReplicaHealth::kDegraded,
                  "probe-miss x" + std::to_string(rep.probe_misses));
@@ -613,15 +628,15 @@ void ProxyCluster::probe(std::size_t index) {
 
 void ProxyCluster::record_answer(std::size_t index, bool error) {
   Replica& rep = replicas_[index];
-  rep.error_ewma = (1.0 - config_.error_ewma_alpha) * rep.error_ewma +
-                   config_.error_ewma_alpha * (error ? 1.0 : 0.0);
+  rep.error_ewma = (1.0 - kErrorEwmaAlpha) * rep.error_ewma +
+                   kErrorEwmaAlpha * (error ? 1.0 : 0.0);
   if (rep.crashed || rep.draining) return;
   if (rep.health == ReplicaHealth::kHealthy &&
-      rep.error_ewma > config_.degraded_error_rate) {
+      rep.error_ewma > kDegradedErrorRate) {
     set_health(rep, ReplicaHealth::kDegraded,
                "error-ewma " + strings::format("%.2f", rep.error_ewma));
   } else if (rep.health == ReplicaHealth::kDegraded && rep.probe_misses == 0 &&
-             rep.error_ewma < config_.degraded_error_rate / 2.0) {
+             rep.error_ewma < kDegradedErrorRate / 2.0) {
     set_health(rep, ReplicaHealth::kHealthy,
                "error-ewma " + strings::format("%.2f", rep.error_ewma));
   }

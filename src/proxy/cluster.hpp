@@ -5,7 +5,7 @@
 // this front scales the same pipeline horizontally while keeping the SKIP
 // layer's degradation story intact:
 //
-//   * Routing: each origin hashes onto a vnode ring (vnodes_per_replica
+//   * Routing: each origin hashes onto a vnode ring (kVnodesPerReplica
 //     points per replica), so adding or losing a replica remaps only the
 //     origins it owned. Requests for /skip/* control endpoints go to the
 //     first live replica; GET /skip/fleet is answered by the cluster itself.
@@ -16,7 +16,7 @@
 //     replica's answers. Crashes (the replica-crash fault verb) drop a
 //     replica straight to down.
 //
-//   * Failover: an in-flight request unanswered after failover_timeout is
+//   * Failover: an in-flight request unanswered after kFailoverTimeout is
 //     hedged onto the next live replica on the ring, within the request's
 //     original deadline budget — never past it. When the budget (or the
 //     replica set) is exhausted the request sheds with 503 + Retry-After.
@@ -36,7 +36,7 @@
 //     completely cold (false) for ablation.
 //
 //   * Draining: drain_replica() stops routing *new* origins to a replica;
-//     origins it already owns keep flowing for drain_grace, then ownership
+//     origins it already owns keep flowing for kDrainGrace, then ownership
 //     is handed off and its pooled SCION connections are retired.
 //
 // Every transition lands in the fleet registry's FlightRecorder ring and
@@ -68,40 +68,14 @@ struct ClusterConfig {
   /// Replica names are "<prefix><index>" ("rep-0", ...). Tests inject
   /// hostile prefixes to exercise /skip/fleet JSON quoting.
   std::string replica_name_prefix = "rep-";
-  /// Consistent-hash ring points per replica (more = smoother spread).
-  std::size_t vnodes_per_replica = 16;
 
   // --- active health probes ---
   Duration probe_interval = milliseconds(250);
   Duration probe_timeout = milliseconds(200);
-  /// Consecutive probe misses that mark a replica degraded / down.
-  std::size_t probe_miss_degraded = 1;
-  std::size_t probe_miss_down = 3;
 
-  // --- passive health signal ---
-  /// EWMA weight of each answer (1 = error/timeout, 0 = success).
-  double error_ewma_alpha = 0.2;
-  /// EWMA above this marks a healthy replica degraded; recovery at half.
-  double degraded_error_rate = 0.5;
-
-  // --- failover ---
-  /// Hedged re-dispatches per request after the first attempt.
-  std::size_t max_failovers = 2;
-  /// How long an attempt may go unanswered before hedging to the next
-  /// replica (clamped so the last check still beats the deadline).
-  Duration failover_timeout = milliseconds(400);
-  /// Slack kept before the request deadline: the terminal 503 must win the
-  /// race against the replica's own 504 deadline timer.
-  Duration failover_margin = milliseconds(50);
-  /// Retry-After advertised on a terminal fleet shed (503).
-  Duration shed_retry_after = seconds(1);
-
-  // --- drain / warm handoff ---
-  /// How long a draining replica keeps serving the origins it owns before
-  /// ownership is handed off and its pooled connections are retired.
-  Duration drain_grace = milliseconds(500);
   /// Restore learned/breaker/quarantine state on replica-restart; false =
-  /// cold restart (the ablation arm of bench_fleet_scale).
+  /// cold restart. Set by bench_fleet_scale (its cold-recovery arm) and
+  /// fleet_test's cold-restart case.
   bool warm_handoff = true;
 
   /// Per-replica SkipProxy configuration (metrics/collector semantics as in
@@ -142,6 +116,13 @@ struct FleetStats {
 
 class ProxyCluster {
  public:
+  /// How long an attempt may go unanswered before hedging to the next
+  /// replica (clamped so the last check still beats the deadline).
+  static constexpr Duration kFailoverTimeout = milliseconds(400);
+  /// How long a draining replica keeps serving the origins it owns before
+  /// ownership is handed off and its pooled connections are retired.
+  static constexpr Duration kDrainGrace = milliseconds(500);
+
   ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionStack& stack,
                scion::Daemon& daemon, const dns::Zone& zone, ClusterConfig config = {});
   ~ProxyCluster();
@@ -167,7 +148,7 @@ class ProxyCluster {
   /// One-shot bounce: crash + revive at once (the replica-restart verb).
   void restart_replica(const std::string& name);
   /// Starts draining: no new origins; owned origins hand off after
-  /// drain_grace and pooled SCION connections are retired.
+  /// kDrainGrace and pooled SCION connections are retired.
   void drain_replica(const std::string& name);
   /// Returns a draining (not crashed) replica to service.
   void undrain_replica(const std::string& name);

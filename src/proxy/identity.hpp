@@ -87,7 +87,7 @@ struct IdentityStats {
 
 class NetworkIdentity {
  public:
-  NetworkIdentity(std::string id, TimePoint created_at, std::size_t audit_cap);
+  NetworkIdentity(std::string id, TimePoint created_at);
 
   [[nodiscard]] const std::string& id() const { return id_; }
   [[nodiscard]] TimePoint created_at() const { return created_at_; }
@@ -115,7 +115,6 @@ class NetworkIdentity {
 
   std::string id_;
   TimePoint created_at_;
-  std::size_t audit_cap_;
   IdentityStats stats_;
   std::optional<ppl::PolicySet> policies_;
   std::map<std::string, std::string> assignments_;          // ordered: stable JSON
@@ -131,8 +130,7 @@ class NetworkIdentity {
 /// proxy does.
 class IdentityPathBroker {
  public:
-  IdentityPathBroker(sim::Simulator& sim, obs::MetricsRegistry& metrics,
-                     std::size_t audit_cap = 64);
+  IdentityPathBroker(sim::Simulator& sim, obs::MetricsRegistry& metrics);
 
   /// Looks up (creating on first sight, with a "created" audit event).
   NetworkIdentity& identity(const std::string& id);
@@ -159,11 +157,11 @@ class IdentityPathBroker {
               const std::string& fingerprint, bool excluded_fallback);
 
   /// rotate_paths(): quarantines the identity's current fingerprints for
-  /// `quarantine_ttl`, releases its claims, and returns the released
-  /// (origin, fingerprint) pairs so the proxy can retire the matching pooled
-  /// connections. The next request per origin re-brokers from scratch.
-  std::vector<std::pair<std::string, std::string>> rotate(const std::string& id,
-                                                          Duration quarantine_ttl);
+  /// 30 s (kQuarantineTtl in identity.cpp), releases its claims, and returns
+  /// the released (origin, fingerprint) pairs so the proxy can retire the
+  /// matching pooled connections. The next request per origin re-brokers
+  /// from scratch.
+  std::vector<std::pair<std::string, std::string>> rotate(const std::string& id);
 
   /// Stats feedback from the proxy's request pipeline.
   void record_result(const std::string& id, bool over_scion, std::uint64_t bytes);
@@ -175,7 +173,6 @@ class IdentityPathBroker {
  private:
   sim::Simulator& sim_;
   obs::MetricsRegistry& metrics_;
-  std::size_t audit_cap_;
   std::map<std::string, NetworkIdentity> identities_;  // ordered: stable JSON
   /// origin -> fingerprint -> owning identity: the disjointness ledger.
   std::unordered_map<std::string, std::unordered_map<std::string, std::string>> live_;

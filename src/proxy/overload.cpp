@@ -10,6 +10,22 @@ namespace pan::proxy {
 
 namespace {
 constexpr std::string_view kLog = "overload";
+/// AIMD: multiplicative decrease factor per over-target completion, and the
+/// additive increase per on-target completion (fractional: ~1/step
+/// completions reopen the window by one slot).
+constexpr double kDecreaseFactor = 0.7;
+constexpr double kIncreaseStep = 0.1;
+/// Priority ladder: fraction of max_in_flight at which the class is
+/// rejected. Documents always get the full cap.
+constexpr double kSubresourceAdmitFraction = 0.9;
+constexpr double kProbeAdmitFraction = 0.5;
+/// Brownout hysteresis thresholds on the pressure EWMA, apart so it does
+/// not flap.
+constexpr double kBrownoutEnter = 0.9;
+constexpr double kBrownoutExit = 0.6;
+/// EWMA time constant: pressure closes ~63% of the gap to the current
+/// utilization per tau of elapsed sim time.
+constexpr Duration kPressureTau = milliseconds(100);
 }  // namespace
 
 const char* to_string(RequestPriority priority) {
@@ -72,7 +88,7 @@ void AimdController::record(const std::string& key, Duration latency, bool ok) {
   if (!ok || latency > config_.latency_target) {
     // Multiplicative decrease: the origin is sick or saturated; narrow the
     // window so queued work waits at the pool instead of piling onto it.
-    const double next = std::max(min_limit, w.limit * config_.decrease_factor);
+    const double next = std::max(min_limit, w.limit * kDecreaseFactor);
     if (next < w.limit) {
       const bool hit_floor = next <= min_limit && w.limit > min_limit;
       w.limit = next;
@@ -87,7 +103,7 @@ void AimdController::record(const std::string& key, Duration latency, bool ok) {
       PAN_DEBUG(kLog) << key << ": window narrowed to " << w.limit;
     }
   } else {
-    const double next = std::min(max_limit, w.limit + config_.increase_step);
+    const double next = std::min(max_limit, w.limit + kIncreaseStep);
     if (next > w.limit) {
       w.limit = next;
       widened_.inc();
@@ -130,8 +146,7 @@ OverloadController::OverloadController(sim::Simulator& sim, obs::MetricsRegistry
       brownout_gauge_(metrics.gauge(prefix + ".brownout")) {}
 
 OverloadController::Bucket& OverloadController::refill(const std::string& client) {
-  const double burst =
-      config_.client_burst > 0.0 ? config_.client_burst : std::max(1.0, config_.client_rate);
+  const double burst = std::max(1.0, config_.client_rate);
   auto [it, inserted] = buckets_.try_emplace(client);
   Bucket& bucket = it->second;
   if (inserted) {
@@ -149,9 +164,9 @@ std::size_t OverloadController::admit_threshold(RequestPriority priority) const 
   const double cap = static_cast<double>(config_.max_in_flight);
   double fraction = 1.0;
   if (priority == RequestPriority::kSubresource) {
-    fraction = config_.subresource_admit_fraction;
+    fraction = kSubresourceAdmitFraction;
   } else if (priority == RequestPriority::kProbe) {
-    fraction = config_.probe_admit_fraction;
+    fraction = kProbeAdmitFraction;
   }
   return std::max<std::size_t>(1, static_cast<std::size_t>(cap * fraction));
 }
@@ -163,8 +178,7 @@ void OverloadController::update_pressure() {
   const double utilization =
       static_cast<double>(in_flight_) / static_cast<double>(config_.max_in_flight);
   if (elapsed > Duration::zero()) {
-    const double tau = std::max(1.0, config_.pressure_tau.millis());
-    const double alpha = 1.0 - std::exp(-elapsed.millis() / tau);
+    const double alpha = 1.0 - std::exp(-elapsed.millis() / kPressureTau.millis());
     pressure_ += alpha * (utilization - pressure_);
   }
   pressure_gauge_.set(pressure_);
@@ -172,7 +186,7 @@ void OverloadController::update_pressure() {
   if (!config_.enabled) return;
   // Brownout hysteresis: sustained pressure trips it, a lower exit
   // threshold clears it.
-  if (pressure_ >= config_.brownout_enter) {
+  if (pressure_ >= kBrownoutEnter) {
     if (!above_enter_since_.has_value()) above_enter_since_ = sim_.now();
     if (!brownout_ && sim_.now() - *above_enter_since_ >= config_.brownout_hold) {
       brownout_ = true;
@@ -184,7 +198,7 @@ void OverloadController::update_pressure() {
     }
   } else {
     above_enter_since_.reset();
-    if (brownout_ && pressure_ <= config_.brownout_exit) {
+    if (brownout_ && pressure_ <= kBrownoutExit) {
       brownout_ = false;
       brownout_exited_.inc();
       brownout_gauge_.set(0.0);
@@ -207,13 +221,13 @@ OverloadController::Admission OverloadController::admit(const std::string& clien
         // floor) so well-behaved clients pace themselves.
         const double wait_s = (1.0 - bucket.tokens) / config_.client_rate;
         const Duration wait = milliseconds(static_cast<std::int64_t>(wait_s * 1000.0) + 1);
-        return Admission{Verdict::kRejectRate, std::max(config_.retry_after, wait)};
+        return Admission{Verdict::kRejectRate, std::max(kRetryAfter, wait)};
       }
       bucket.tokens -= 1.0;
     }
     if (config_.max_in_flight > 0 && in_flight_ >= admit_threshold(priority)) {
       rejected_capacity_.inc();
-      return Admission{Verdict::kRejectCapacity, config_.retry_after};
+      return Admission{Verdict::kRejectCapacity, kRetryAfter};
     }
   }
   ++in_flight_;

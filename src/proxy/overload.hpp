@@ -67,11 +67,6 @@ struct AimdConfig {
   std::size_t max_limit = 6;
   /// Completions slower than this (or failed) shrink the window.
   Duration latency_target = milliseconds(750);
-  /// Multiplicative decrease factor per over-target completion.
-  double decrease_factor = 0.7;
-  /// Additive increase per on-target completion (fractional: ~1/step
-  /// completions reopen the window by one slot).
-  double increase_step = 0.1;
 };
 
 /// AIMD concurrency controller, one window per origin key.
@@ -113,34 +108,28 @@ class AimdController final : public http::ConcurrencyLimiter {
 
 struct OverloadConfig {
   /// Master switch: when false the controller admits everything (it still
-  /// tracks in-flight for observability) and brownout never trips.
+  /// tracks in-flight for observability) and brownout never trips. Set by
+  /// bench_ablation_chaos (its shedding-off surge arm) and robustness_test.
   bool enabled = true;
   /// Per-client token bucket: sustained requests/second (0 disables rate
-  /// limiting) and burst size (0 = max(1, client_rate)).
+  /// limiting); the burst size is max(1, client_rate).
   double client_rate = 0.0;
-  double client_burst = 0.0;
   /// Global cap on admitted in-flight requests (0 disables the cap).
+  /// Sub-resources are rejected at 90% of it and probes at 50%; documents
+  /// get the full cap (the priority ladder in overload.cpp).
   std::size_t max_in_flight = 0;
-  /// Priority ladder: fraction of max_in_flight at which the class is
-  /// rejected. Documents always get the full cap.
-  double subresource_admit_fraction = 0.9;
-  double probe_admit_fraction = 0.5;
-  /// Retry-After advertised on 429/503 rejections.
-  Duration retry_after = seconds(1);
-  /// Brownout: load-pressure EWMA (in-flight / cap) must sit at or above
-  /// `brownout_enter` for `brownout_hold` to trip; clears at or below
-  /// `brownout_exit` (hysteresis so it does not flap).
-  double brownout_enter = 0.9;
-  double brownout_exit = 0.6;
+  /// Brownout: the load-pressure EWMA (in-flight / cap) must sit at or above
+  /// 0.9 for `brownout_hold` to trip; it clears at or below 0.6
+  /// (kBrownoutEnter / kBrownoutExit in overload.cpp).
   Duration brownout_hold = milliseconds(250);
-  /// EWMA time constant: pressure closes ~63% of the gap to the current
-  /// utilization per tau of elapsed sim time.
-  Duration pressure_tau = milliseconds(100);
 };
 
 /// Ingress admission control + brownout for one proxy.
 class OverloadController {
  public:
+  /// Retry-After advertised on 429/503 rejections and load sheds.
+  static constexpr Duration kRetryAfter = seconds(1);
+
   enum class Verdict : std::uint8_t {
     kAdmit,
     kRejectRate,      // per-client token bucket empty -> 429
@@ -192,7 +181,7 @@ class OverloadController {
   std::map<std::string, Bucket> buckets_;
   double pressure_ = 0.0;
   TimePoint pressure_updated_;
-  /// Brownout hysteresis: when pressure first crossed brownout_enter
+  /// Brownout hysteresis: when pressure first crossed kBrownoutEnter
   /// (tracked only while continuously above it).
   std::optional<TimePoint> above_enter_since_;
   bool brownout_ = false;

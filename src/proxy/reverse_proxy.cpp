@@ -8,6 +8,11 @@ namespace pan::proxy {
 namespace {
 /// The pool key for the single configured backend.
 constexpr const char* kBackendKey = "backend";
+/// Backend connections idle longer than this are evicted.
+constexpr Duration kPoolIdleTtl = seconds(60);
+/// Local deadline budget per relayed request: the queue-shedding deadline
+/// is now + min(kBackendBudget, X-Skip-Deadline-Ms from the client hop).
+constexpr Duration kBackendBudget = seconds(8);
 }  // namespace
 
 http::OriginPoolConfig ReverseProxy::backend_pool_config(const ReverseProxyConfig& config,
@@ -19,14 +24,14 @@ http::OriginPoolConfig ReverseProxy::backend_pool_config(const ReverseProxyConfi
   // pipeline onto the *least-outstanding* live connection instead of
   // convoying behind the first one.
   pool.max_outstanding_per_conn = 0;
-  pool.idle_ttl = config.pool_idle_ttl;
+  pool.idle_ttl = kPoolIdleTtl;
   pool.limiter = limiter;
   pool.deadline_shed = config.overload.enabled;
   return pool;
 }
 
 TimePoint ReverseProxy::relay_deadline(const http::HttpRequest& request) const {
-  Duration budget = config_.backend_budget;
+  Duration budget = kBackendBudget;
   if (const auto header = request.headers.get(kDeadlineHeader)) {
     char* end = nullptr;
     const long long ms = std::strtoll(header->c_str(), &end, 10);
@@ -139,7 +144,7 @@ void ReverseProxy::relay(const http::HttpRequest& request,
               metrics_->counter("revproxy.overload.shed_requests").inc();
               if (hop != nullptr) record_hop(*hop, 503, "shed", /*backend_ran=*/true);
               respond(http::make_retry_after_response(
-                  503, config_.overload.retry_after,
+                  503, OverloadController::kRetryAfter,
                   "reverse proxy shed under load: " + result.error()));
             } else if (http::OriginPool::is_expired(result.error()) ||
                        http::OriginPool::is_queue_timeout(result.error())) {

@@ -29,8 +29,6 @@ struct ReverseProxyConfig {
   transport::TransportConfig quic = http::default_quic_config();
   transport::TransportConfig tcp = http::default_tcp_config();
   std::size_t max_backend_conns = 8;
-  /// Backend connections idle longer than this are evicted (zero = never).
-  Duration pool_idle_ttl = seconds(60);
   /// Ingress admission control + brownout-pressure tracking (metrics under
   /// `revproxy.overload.*`). Defaults admit everything; benches cap
   /// max_in_flight to exercise shedding.
@@ -39,9 +37,6 @@ struct ReverseProxyConfig {
   /// fan-out when the backend's latency inflates (max_limit 0 disables).
   AimdConfig backend_aimd = {.min_limit = 4, .max_limit = 64,
                              .latency_target = milliseconds(1500)};
-  /// Local deadline budget per relayed request: the queue-shedding deadline
-  /// is now + min(backend_budget, X-Skip-Deadline-Ms from the client hop).
-  Duration backend_budget = seconds(8);
   /// Shared metrics registry (`pool.revproxy.backend.*` instruments). When
   /// null the proxy owns a private one.
   obs::MetricsRegistry* metrics = nullptr;
@@ -92,7 +87,7 @@ class ReverseProxy {
                   bool backend_ran);
   [[nodiscard]] static http::OriginPoolConfig backend_pool_config(
       const ReverseProxyConfig& config, http::ConcurrencyLimiter* limiter);
-  /// Queue-shedding deadline for one relayed request (backend_budget capped
+  /// Queue-shedding deadline for one relayed request (kBackendBudget capped
   /// by the client hop's X-Skip-Deadline-Ms, when present).
   [[nodiscard]] TimePoint relay_deadline(const http::HttpRequest& request) const;
 

@@ -17,6 +17,8 @@ namespace pan::scion {
 
 namespace {
 constexpr std::string_view kLog = "beacon";
+/// Lifetime every AS grants the hop fields it seals.
+constexpr std::uint32_t kHopExpirySeconds = 24 * 3600;
 }
 
 void Topology::run_beaconing() {
@@ -138,7 +140,7 @@ PathSegment Topology::build_segment(const std::vector<BeaconHop>& hops,
     entry.hop.isd_as = as.spec.ia;
     entry.hop.in_if = hop.in_if;
     entry.hop.out_if = hop.out_if;
-    entry.hop.expiry_s = config_.hop_expiry_s;
+    entry.hop.expiry_s = kHopExpirySeconds;
     seal_hop_field(entry.hop, segment.origin_ts, as.forwarding_key);
     if (hop.in_link_index != static_cast<std::size_t>(-1)) {
       entry.ingress_link = link_meta(hop.in_link_index);
@@ -154,7 +156,7 @@ PathSegment Topology::build_segment(const std::vector<BeaconHop>& hops,
         peer.hop.isd_as = as.spec.ia;
         peer.hop.in_if = adj.scion_if;
         peer.hop.out_if = hop.out_if;
-        peer.hop.expiry_s = config_.hop_expiry_s;
+        peer.hop.expiry_s = kHopExpirySeconds;
         seal_hop_field(peer.hop, segment.origin_ts, as.forwarding_key);
         peer.peer_as = ases_[adj.neighbor].spec.ia;
         for (const AsAdjacency& back : ases_[adj.neighbor].adjacency) {

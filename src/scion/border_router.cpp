@@ -7,6 +7,8 @@ namespace pan::scion {
 namespace {
 
 constexpr std::string_view kLog = "br";
+/// Per-packet header processing time.
+constexpr Duration kProcessingDelay = microseconds(5);
 
 enum class FieldCheck : std::uint8_t { kOk, kWrongAs, kBadMac, kExpired };
 
@@ -18,7 +20,7 @@ FieldCheck check_hop_field(const HopField& hf, std::uint32_t origin_ts, bool is_
                            IsdAsn local, HopMacVerifier& macs,
                            const BorderRouterConfig& config) {
   if (hf.isd_as != local) return FieldCheck::kWrongAs;
-  if (config.verify_macs && !macs.verify(hf, origin_ts)) return FieldCheck::kBadMac;
+  if (!macs.verify(hf, origin_ts)) return FieldCheck::kBadMac;
   if (!is_scmp && config.current_unix_time != 0 &&
       origin_ts + hf.expiry_s < config.current_unix_time) {
     return FieldCheck::kExpired;
@@ -137,13 +139,8 @@ BorderRouter::BorderRouter(net::Router& router, IsdAsn local, const ForwardingKe
 }
 
 void BorderRouter::handle(net::Packet&& packet, net::IfId /*in_if*/) {
-  if (config_.processing_delay > Duration::zero()) {
-    auto& sim = router_.network().simulator();
-    sim.schedule_after(config_.processing_delay,
-                       [this, p = std::move(packet)]() mutable { process(std::move(p)); });
-  } else {
-    process(std::move(packet));
-  }
+  router_.network().simulator().schedule_after(
+      kProcessingDelay, [this, p = std::move(packet)]() mutable { process(std::move(p)); });
 }
 
 BorderRouter::HopCheck BorderRouter::check_hop(const DataplaneSegment& seg,

@@ -30,9 +30,6 @@
 namespace pan::scion {
 
 struct BorderRouterConfig {
-  bool verify_macs = true;
-  /// Per-packet header processing time.
-  Duration processing_delay = microseconds(5);
   /// When nonzero, hop fields whose expiry precedes this "current unix time"
   /// are rejected. (The simulator's beacon timestamps are synthetic, so the
   /// check is opt-in.)
@@ -40,8 +37,9 @@ struct BorderRouterConfig {
   /// Colibri reservation validation/policing (null = reservation ids are
   /// ignored and packets stay best-effort).
   ReservationManager* reservations = nullptr;
-  /// Use the eager full-reparse pipeline (pre-zero-copy behaviour). Kept for
-  /// the forwarding equivalence tests and as the bench baseline.
+  /// Use the eager full-reparse pipeline instead of the zero-copy hop path.
+  /// Set by forwarding_equiv_test, which checks that the two pipelines
+  /// forward identically.
   bool legacy_reparse = false;
   /// Per-router forward-latency histogram (null = not recorded). Records
   /// now - packet.sent_at on every forward: the queueing + propagation +

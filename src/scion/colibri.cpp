@@ -6,7 +6,13 @@
 
 namespace pan::scion {
 
-ReservationManager::ReservationManager(ColibriConfig config) : config_(config) {}
+namespace {
+/// Fraction of each link's capacity available to reservations.
+constexpr double kMaxReservableFraction = 0.5;
+constexpr Duration kDefaultLifetime = seconds(60);
+/// Token-bucket burst allowance, as time at the reserved rate.
+constexpr Duration kBurstWindow = milliseconds(50);
+}  // namespace
 
 void ReservationManager::register_link(IsdAsn as, IfaceId egress, double capacity_bps) {
   link_capacity_[key_of(as, egress).packed] = capacity_bps;
@@ -21,7 +27,7 @@ Result<ReservationId> ReservationManager::reserve(const Path& path, double bandw
                                                   TimePoint now, Duration lifetime) {
   if (bandwidth_bps <= 0) return Err("reservation bandwidth must be positive");
   if (path.hops().empty()) return Err("cannot reserve on an intra-AS path");
-  if (lifetime <= Duration::zero()) lifetime = config_.default_lifetime;
+  if (lifetime <= Duration::zero()) lifetime = kDefaultLifetime;
 
   // Collect the directed links: each hop's egress except the last.
   std::vector<std::pair<IsdAsn, IfaceId>> links;
@@ -39,7 +45,7 @@ Result<ReservationId> ReservationManager::reserve(const Path& path, double bandw
       return Err("unknown link capacity at " + as.to_string() + "#" +
                  std::to_string(egress));
     }
-    const double budget = capacity * config_.max_reservable_fraction;
+    const double budget = capacity * kMaxReservableFraction;
     const double in_use = reserved_on(as, egress, now);
     if (in_use + bandwidth_bps > budget) {
       return Err(strings::format("admission denied at %s#%u: %.0f of %.0f bps budget in use",
@@ -100,12 +106,12 @@ PoliceResult ReservationManager::police(ReservationId id, IsdAsn as, TimePoint n
   }
 
   auto [bucket_it, inserted] = reservation.buckets.try_emplace(
-      as, std::make_pair(reservation.bandwidth_bps / 8.0 * config_.burst_window.seconds(),
+      as, std::make_pair(reservation.bandwidth_bps / 8.0 * kBurstWindow.seconds(),
                          now));
   auto& [tokens, last] = bucket_it->second;
   if (!inserted) {
     const double refill = reservation.bandwidth_bps / 8.0 * (now - last).seconds();
-    const double burst = reservation.bandwidth_bps / 8.0 * config_.burst_window.seconds();
+    const double burst = reservation.bandwidth_bps / 8.0 * kBurstWindow.seconds();
     tokens = std::min(burst, tokens + refill);
     last = now;
   }

@@ -5,8 +5,7 @@
 // functional equivalent:
 //   - admission control: a reservation for B bps along a path is granted
 //     only if, on every directed inter-AS link it crosses, the sum of
-//     admitted reservations stays below a configured fraction of the link
-//     capacity;
+//     admitted reservations stays below half of the link capacity;
 //   - data-plane enforcement: packets carry the reservation id in the SCION
 //     header; every on-path border router validates it and polices the rate
 //     with a per-(reservation, AS) token bucket. Conforming packets are
@@ -27,14 +26,6 @@ namespace pan::scion {
 
 using ReservationId = std::uint32_t;
 
-struct ColibriConfig {
-  /// Fraction of each link's capacity available to reservations.
-  double max_reservable_fraction = 0.5;
-  Duration default_lifetime = seconds(60);
-  /// Token-bucket burst allowance, as time at the reserved rate.
-  Duration burst_window = milliseconds(50);
-};
-
 enum class PoliceResult : std::uint8_t {
   kAllow,
   kUnknownReservation,
@@ -45,14 +36,12 @@ enum class PoliceResult : std::uint8_t {
 
 class ReservationManager {
  public:
-  explicit ReservationManager(ColibriConfig config = {});
-
   /// Registers a directed link's capacity (topology calls this for every
   /// (AS, egress interface) at finalize time).
   void register_link(IsdAsn as, IfaceId egress, double capacity_bps);
 
   /// Admission: grants a reservation of `bandwidth_bps` along `path` for
-  /// `lifetime` (default from config), or explains the refusal.
+  /// `lifetime` (zero = 60 s), or explains the refusal.
   [[nodiscard]] Result<ReservationId> reserve(const Path& path, double bandwidth_bps,
                                               TimePoint now,
                                               Duration lifetime = Duration::zero());
@@ -100,7 +89,6 @@ class ReservationManager {
   void expire_if_needed(ReservationId id, TimePoint now);
   [[nodiscard]] double capacity_of(const LinkKey& key) const;
 
-  ColibriConfig config_;
   std::unordered_map<std::uint64_t, double> link_capacity_;  // key packed
   std::unordered_map<std::uint64_t, double> link_reserved_;
   std::unordered_map<ReservationId, Reservation> reservations_;

@@ -9,6 +9,8 @@ namespace pan::scion {
 
 namespace {
 constexpr std::string_view kLog = "sciond";
+/// Maximum candidate paths returned per destination.
+constexpr std::size_t kMaxPaths = 40;
 }
 
 Daemon::Daemon(sim::Simulator& sim, const PathServerInfra& infra, IsdAsn local_as,
@@ -141,7 +143,7 @@ std::vector<Path> Daemon::combine(IsdAsn dst) const {
     if (a.link_count() != b.link_count()) return a.link_count() < b.link_count();
     return a.fingerprint() < b.fingerprint();
   });
-  if (out.size() > config_.max_paths) out.resize(config_.max_paths);
+  if (out.size() > kMaxPaths) out.resize(kMaxPaths);
   return out;
 }
 

@@ -22,8 +22,6 @@ namespace pan::scion {
 struct DaemonConfig {
   /// Round trip to the local path service on a cache miss.
   Duration lookup_latency = milliseconds(1);
-  /// Maximum candidate paths returned per destination.
-  std::size_t max_paths = 40;
   /// Cache entries expire after this long (re-query after).
   Duration cache_ttl = seconds(300);
 };

@@ -9,6 +9,13 @@ namespace pan::scion {
 
 namespace {
 constexpr std::string_view kLog = "topo";
+/// Access link of a host added without explicit link parameters.
+constexpr net::LinkParams kHostAccessLink = {
+    .latency = microseconds(200),
+    .bandwidth_bps = 1e9,
+    .loss_rate = 0.0,
+    .mtu = 1500,
+};
 }
 
 Topology::Topology(sim::Simulator& sim, TopologyConfig config)
@@ -73,7 +80,7 @@ void Topology::add_link(const AsLinkSpec& spec) {
 }
 
 HostId Topology::add_host(const std::string& as_name, const std::string& host_name) {
-  return add_host(as_name, host_name, config_.host_access_link);
+  return add_host(as_name, host_name, kHostAccessLink);
 }
 
 HostId Topology::add_host(const std::string& as_name, const std::string& host_name,
@@ -168,15 +175,12 @@ void Topology::build_pki(Rng& rng) {
 }
 
 void Topology::build_legacy_routes() {
-  // AS-level graph; edge tags carry the local egress (net) interface id.
+  // AS-level graph weighted by AS hop count (BGP-like); edge tags carry the
+  // local egress (net) interface id.
   net::Adjacency adj(ases_.size());
   for (std::size_t i = 0; i < ases_.size(); ++i) {
     for (const AsAdjacency& a : ases_[i].adjacency) {
-      double weight = 1.0;
-      if (config_.legacy_latency_weight) {
-        weight += link_specs_[a.link_spec_index].params.latency.millis() / 1000.0;
-      }
-      adj[i].push_back(net::GraphEdge{static_cast<std::uint32_t>(a.neighbor), weight,
+      adj[i].push_back(net::GraphEdge{static_cast<std::uint32_t>(a.neighbor), 1.0,
                                       static_cast<std::uint32_t>(
                                           BorderRouter::to_net_if(a.scion_if))});
     }

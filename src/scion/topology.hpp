@@ -56,27 +56,18 @@ struct TopologyConfig {
   std::uint64_t seed = 1;
   /// Beacons kept per (origin, AS) during propagation — controls path choice.
   std::size_t beacons_per_origin = 8;
-  /// Sign beacon entries / verify before registration.
+  /// Sign beacon entries / verify before registration. Set by
+  /// bench_ablation_beaconing (its unsigned arm), scion_test and
+  /// peering_test.
   bool sign_beacons = true;
   bool verify_beacons = true;
   std::uint32_t beacon_timestamp = 1'000'000;
-  std::uint32_t hop_expiry_s = 24 * 3600;
-  net::LinkParams host_access_link = {
-      .latency = microseconds(200),
-      .bandwidth_bps = 1e9,
-      .loss_rate = 0.0,
-      .mtu = 1500,
-  };
   DaemonConfig daemon;
   BorderRouterConfig border_router;
   /// When set, finalize() pre-registers a `router.<ia>.forward_latency`
   /// histogram per AS and wires it into that AS's border router, so hop-path
   /// recording never allocates (the registry lookup happens once, here).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Legacy route weight: AS hop count (BGP-like). When true, adds the link
-  /// latency in ms as a secondary component (used by ablation benches to
-  /// model a latency-aware IGP instead).
-  bool legacy_latency_weight = false;
 };
 
 /// Opaque host handle.

@@ -8,7 +8,7 @@
 //   - ACK-based loss detection (packet-threshold reordering) plus a probe
 //     timeout (PTO) with exponential backoff;
 //   - NewReno congestion control (slow start, AIMD, collapse on PTO);
-//   - delayed ACKs (every second ack-eliciting packet or max_ack_delay).
+//   - delayed ACKs (every second ack-eliciting packet or kMaxAckDelay).
 //
 // TCP-lite is the same engine restricted to a single stream with its own
 // wire magic: the paper maps HTTP/1 TCP bytestreams onto one bidirectional
@@ -48,11 +48,6 @@ struct Conduit {
 struct TransportConfig {
   TransportKind kind = TransportKind::kQuicLite;
   std::string alpn = "http/1.1";
-  std::size_t initial_cwnd_packets = 10;
-  std::size_t min_cwnd_packets = 2;
-  Duration initial_rtt = milliseconds(100);
-  Duration max_ack_delay = milliseconds(25);
-  std::uint64_t reorder_threshold = 3;
   Duration idle_timeout = seconds(30);
   /// Additional handshake round trips before the connection is established
   /// (0 = QUIC-style 1-RTT; 1 emulates TLS-1.3-over-TCP's extra RTT).
@@ -61,7 +56,8 @@ struct TransportConfig {
   /// established immediately at start(), so early data rides right behind
   /// the INITIAL packet and the response arrives one round trip sooner.
   /// Only valid with extra_handshake_rtts == 0 and when the application has
-  /// a resumption ticket for the server (it has connected before).
+  /// a resumption ticket for the server (it has connected before). Set by
+  /// SkipProxy for origins it holds a ticket for, and by transport_test.
   bool zero_rtt = false;
   /// When nonzero, the connection sends PING probes at this interval while
   /// any local stream awaits a response (request FIN sent, peer FIN not yet

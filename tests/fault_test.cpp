@@ -496,6 +496,35 @@ TEST(ResilientProxy, StrictModeDegradesTo503WithRetryAfter) {
   EXPECT_GE(stats.scion_failures, 1u);
 }
 
+TEST(ResilientProxy, ScionRetriesBackOffExponentially) {
+  // Every SCION attempt toward the far origin fails (both inter-ISD links
+  // are down), so a strict request walks the whole retry schedule: the n-th
+  // backoff span lasts 40 ms * 2^(n-1), jittered by at most +/-20%.
+  proxy::ProxyConfig config;
+  config.attempt_timeout = milliseconds(300);
+  config.max_scion_retries = 3;
+  SessionFixture fx(/*remote=*/true, config);
+  fx.world->site("www.far.example")->add_text("/x", "unreachable");
+  ASSERT_TRUE(fx.world
+                  ->schedule_chaos(
+                      "at=0ms link-down core-1 core-2a\n"
+                      "at=0ms link-down core-1 core-2b")
+                  .ok());
+
+  const proxy::ProxyResult result = fx.fetch("http://www.far.example/x", /*strict=*/true);
+  EXPECT_EQ(result.response.status, 503);
+  std::vector<Duration> backoffs;
+  for (const obs::SpanRecord& span : result.spans) {
+    if (span.name == "backoff") backoffs.push_back(span.duration);
+  }
+  ASSERT_EQ(backoffs.size(), 3u);
+  for (std::size_t n = 0; n < backoffs.size(); ++n) {
+    const double nominal_ms = 40.0 * static_cast<double>(1u << n);
+    EXPECT_GE(backoffs[n].millis(), 0.8 * nominal_ms) << "backoff " << n + 1;
+    EXPECT_LE(backoffs[n].millis(), 1.2 * nominal_ms) << "backoff " << n + 1;
+  }
+}
+
 TEST(ResilientProxy, SlowLorisIsBoundedByAttemptTimeout) {
   // The origin accepts the request and then trickles: without the attempt
   // timer the fetch would sit for the full 120 s slow-loris delay. With it,

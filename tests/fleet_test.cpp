@@ -173,9 +173,9 @@ TEST(Fleet, HungReplicaIsHedgedAroundWithinDeadline) {
       fix.fetch_with("http://scion-fs.local/", /*strict=*/true, start + seconds(2));
   EXPECT_EQ(result.response.status, 200);
   EXPECT_EQ(result.transport, proxy::TransportUsed::kScion);
-  // The hedge waited out failover_timeout on the wedged owner, then won well
+  // The hedge waited out kFailoverTimeout on the wedged owner, then won well
   // inside the deadline.
-  EXPECT_GE(fix.sim().now(), start + cluster.config().failover_timeout);
+  EXPECT_GE(fix.sim().now(), start + proxy::ProxyCluster::kFailoverTimeout);
   EXPECT_LE(fix.sim().now(), start + seconds(2));
   EXPECT_GE(cluster.stats().failovers, 1u);
 }
@@ -188,7 +188,7 @@ TEST(Fleet, HungReplicaGoesDownViaProbesThenRecovers) {
   const std::string victim = cluster.replica_names()[0];
 
   cluster.set_replica_hung(victim, true);
-  // probe_miss_down=3 at 250ms probe spacing (+200ms timeout) => down well
+  // kProbeMissDown=3 at 250ms probe spacing (+200ms timeout) => down well
   // inside 2s.
   fix.sim().run_until(fix.sim().now() + seconds(2));
   EXPECT_EQ(cluster.replica_health(victim), proxy::ReplicaHealth::kDown);
@@ -222,8 +222,8 @@ TEST(Fleet, DrainIsStickyThenHandsOff) {
     EXPECT_NE(cluster.owner_of("fresh-" + std::to_string(i) + ".example"), owner);
   }
 
-  // After drain_grace ownership is handed off.
-  fix.sim().run_until(fix.sim().now() + cluster.config().drain_grace + milliseconds(100));
+  // After kDrainGrace ownership is handed off.
+  fix.sim().run_until(fix.sim().now() + proxy::ProxyCluster::kDrainGrace + milliseconds(100));
   const std::string successor = cluster.owner_of("scion-fs.local");
   EXPECT_FALSE(successor.empty());
   EXPECT_NE(successor, owner);
@@ -497,7 +497,7 @@ TEST(Fleet, RetryJitterStreamsDivergeAcrossReplicas) {
   FleetFixture fix(std::move(config));
   proxy::ProxyCluster& cluster = fix.cluster();
 
-  // Both replicas share one ProxyConfig (and thus retry_jitter_seed); the
+  // Both replicas share one ProxyConfig (and thus kRetryJitterSeed); the
   // per-instance salt must still decorrelate their retry backoff streams or
   // a fleet-wide path flap retries in lockstep.
   Rng& a = cluster.replica("rep-0")->retry_rng();
