@@ -64,7 +64,7 @@ Run run_once(bool kill_link, Duration keep_alive) {
     }
   }
   world->sim().run_until_condition([&] { return done; }, world->sim().now() + seconds(120));
-  run.reroutes = proxy.stats().scmp_reroutes;
+  run.reroutes = proxy.metrics().counter_value("proxy.scmp_reroutes");
   if (!done) run.completion_ms = -1;
   return run;
 }

@@ -265,9 +265,9 @@ FailoverRunStats run_failover_arm(bool multi) {
     net.set_link_up(net.find_node("browser"), 0, false);
   });
   sim.run_until_condition([&] { return outstanding == 0; }, sim.now() + seconds(30));
-  const proxy::ProxyStats proxy_stats = client.proxy->stats();
-  stats.strict_unavailable = proxy_stats.strict_unavailable;
-  stats.failovers = proxy_stats.access_failovers;
+  const obs::MetricsRegistry& registry = client.proxy->metrics();
+  stats.strict_unavailable = registry.counter_value("proxy.strict_unavailable");
+  stats.failovers = registry.counter_value("proxy.access_failovers");
   return stats;
 }
 

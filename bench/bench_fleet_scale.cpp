@@ -23,7 +23,7 @@
 // the brownout because the learned pin and the DNS cache died with the
 // process. The bench fails unless warm recovery is >= 5x faster.
 //
-// Run with --smoke for the CI-sized run (scripts/check.sh --fleet).
+// Run with --smoke for the CI-sized run (the bench_fleet_scale_smoke ctest).
 #include <cstdio>
 #include <cstring>
 #include <memory>

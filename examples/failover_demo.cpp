@@ -65,9 +65,10 @@ int main() {
   }
   std::printf("  [%7.1f ms] download complete: %zu bytes over SCION\n",
               world->sim().now().millis(), result.response.body.size());
+  const obs::MetricsRegistry& registry = proxy.metrics();
   std::printf("\nproxy stats: %llu SCMP report(s), %llu live migration(s), 0 IP fallbacks\n",
-              static_cast<unsigned long long>(proxy.stats().scmp_reports),
-              static_cast<unsigned long long>(proxy.stats().scmp_reroutes));
+              static_cast<unsigned long long>(registry.counter_value("proxy.scmp_reports")),
+              static_cast<unsigned long long>(registry.counter_value("proxy.scmp_reroutes")));
   std::printf("revocations active: %zu\n", proxy.selector().active_revocations());
   for (const auto& [fp, usage] : proxy.selector().usage()) {
     std::printf("final path %s: %s (observed RTT %.1f ms)\n", fp.c_str(),

@@ -3,8 +3,13 @@
 # ASan+UBSan instrumented build + ctest. The config lint
 # (scripts/config_lint.py) fails when a *Config field in src/ is set
 # nowhere in src/, bench/, benchmark/, examples/ or tests/: such a value is
-# a named constant, not a field (DESIGN.md section 5o). Run from the repo
-# root:
+# a named constant, not a field (DESIGN.md section 5o). Both ctest runs
+# include the `contract` tests (bench/CMakeLists.txt): bench_fleet_scale
+# --smoke (no strict downgrade, no deadline miss, warm handoff >= 5x cold
+# recovery), bench_ablation_multipath (intent-aware scheduling beats
+# intent-blind, no deadline miss across a mid-load access cut) and
+# scripts/chaos_dump_lint.sh (the chaos bench's trace, metrics and .prom
+# exports pass scripts/trace_lint.py). Run from the repo root:
 #
 #   scripts/check.sh              # config lint + both builds
 #   scripts/check.sh --fast       # config lint + plain build only
@@ -12,13 +17,6 @@
 #   scripts/check.sh --soak       # plain build, then loop the chaos + surge
 #                                 # suites until SOAK_BUDGET_S (default 120 s)
 #                                 # of wall clock is spent
-#   scripts/check.sh --trace-lint # plain build, run the chaos bench with
-#                                 # PAN_TRACE_DUMP set, lint the Chrome trace
-#                                 # JSON it exports (structure, parent links,
-#                                 # cross-hop coverage, path annotations)
-#   scripts/check.sh --identity   # PAN_SANITIZE=ON build, then loop the
-#                                 # identity-isolation suite (broker
-#                                 # disjointness under rotation + link cuts)
 #   scripts/check.sh --bench-smoke # plain build, then a short bench_micro run
 #                                 # of the forwarding, transport and event-core
 #                                 # benches; fails if the zero-copy hop path
@@ -33,20 +31,6 @@
 #                                 # packet or its 3 MB case over 1.5x the 30 kB
 #                                 # case per byte, or if a warm packet-sized
 #                                 # event or timer re-arm allocates
-#   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
-#                                 # fleet suite + bench_fleet_scale --smoke;
-#                                 # fails on any strict downgrade, deadline
-#                                 # miss, or warm handoff < 5x cold recovery
-#   scripts/check.sh --multiaccess # PAN_SANITIZE=ON build, then the
-#                                 # multi-access suite + the multipath
-#                                 # ablation bench; fails if intent-aware
-#                                 # scheduling loses to intent-blind or a
-#                                 # mid-load access cut misses a deadline
-#   scripts/check.sh --obs        # PAN_SANITIZE=ON build, then the
-#                                 # observability suites (metrics / exemplars
-#                                 # / time-series / fleet plane) plus the
-#                                 # chaos bench's metrics dump linted for
-#                                 # prom grammar + exemplar resolution
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -72,53 +56,6 @@ if [[ "${1:-}" == "--soak" ]]; then
     iterations=$(( iterations + 1 ))
   done
   echo "==> soak passed (${iterations} iterations in <= ${budget}s)"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--trace-lint" ]]; then
-  echo "==> trace-lint: chaos bench with PAN_TRACE_DUMP, then lint the exports"
-  run_suite build
-  dump_dir="$(mktemp -d)"
-  trap 'rm -rf "$dump_dir"' EXIT
-  PAN_TRACE_DUMP="$dump_dir" ./build/bench/bench_ablation_chaos
-  # Every dump must be structurally sound; the baseline remote-world dump
-  # must additionally show a cross-hop trace (client + reverse proxy under
-  # one trace id) annotated with the SCION path fingerprint and ISD sequence.
-  # (The bench also writes *.metrics.json / *.prom — the --obs leg lints
-  # those; here keep the Chrome trace files only.)
-  traces=()
-  for f in "$dump_dir"/*.json; do
-    [[ "$f" == *.metrics.json ]] || traces+=("$f")
-  done
-  python3 scripts/trace_lint.py "${traces[@]}"
-  python3 scripts/trace_lint.py "$dump_dir"/chaos-baseline-on.json \
-    --min-hops 2 --require-attr path --require-attr isd_seq
-  echo "==> trace-lint passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--identity" ]]; then
-  echo "==> identity: PAN_SANITIZE=ON build, identity-isolation suite"
-  # The isolation invariant is memory-sensitive (pool retire/migrate on live
-  # connections), so this leg always runs instrumented.
-  cmake -B build-asan -S . -DPAN_SANITIZE=ON
-  cmake --build build-asan -j
-  ./build-asan/tests/identity_test
-  echo "==> identity passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--fleet" ]]; then
-  echo "==> fleet: PAN_SANITIZE=ON build, fleet suite + scale bench smoke"
-  # Failover re-dispatch and warm-state import shuffle live proxy/resolver
-  # objects, so this leg always runs instrumented. The bench exits nonzero
-  # on any strict-guarantee loss (downgrade, deadline miss, shed at N>=4) or
-  # a warm-vs-cold recovery ratio under 5x.
-  cmake -B build-asan -S . -DPAN_SANITIZE=ON
-  cmake --build build-asan -j
-  ./build-asan/tests/fleet_test
-  ./build-asan/bench/bench_fleet_scale --smoke
-  echo "==> fleet passed"
   exit 0
 fi
 
@@ -196,47 +133,6 @@ print(f"3 MB stream write: {large / small:.2f}x the cost per byte of a 30 kB one
 assert large <= 1.5 * small, f"per-byte write cost grows with write size ({large / small:.2f}x)"
 EOF
   echo "==> bench-smoke passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--multiaccess" ]]; then
-  echo "==> multiaccess: PAN_SANITIZE=ON build, multi-access suite + ablation bench"
-  # Mid-flight access failover re-dispatches live requests across SCION
-  # stacks and the flap property suite hammers that path, so this leg always
-  # runs instrumented. The bench exits nonzero when intent-aware scheduling
-  # fails to beat the intent-blind ablation or a strict document misses its
-  # deadline across the mid-load primary-access cut.
-  cmake -B build-asan -S . -DPAN_SANITIZE=ON
-  cmake --build build-asan -j
-  ./build-asan/tests/multiaccess_test
-  ./build-asan/bench/bench_ablation_multipath
-  echo "==> multiaccess passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--obs" ]]; then
-  echo "==> obs: PAN_SANITIZE=ON build, observability suites + metrics lint"
-  # Exemplar slots, time-series rings, and fleet merges all shuffle
-  # histogram state across replica restarts, so this leg always runs
-  # instrumented. The chaos bench then exports per-scenario Chrome traces
-  # plus /skip/metrics JSON and .prom expositions, and the linter checks
-  # prom grammar end-to-end and that every exemplar trace id resolves to a
-  # collected trace (the one-hop-to-/skip/trace/<id> promise).
-  cmake -B build-asan -S . -DPAN_SANITIZE=ON
-  cmake --build build-asan -j
-  ./build-asan/tests/obs_test
-  ./build-asan/tests/timeseries_test
-  ./build-asan/tests/fleet_test
-  ./build-asan/tests/proxy_test
-  dump_dir="$(mktemp -d)"
-  trap 'rm -rf "$dump_dir"' EXIT
-  PAN_TRACE_DUMP="$dump_dir" ./build-asan/bench/bench_ablation_chaos >/dev/null
-  for prom in "$dump_dir"/*.prom; do
-    base="${prom%.prom}"
-    python3 scripts/trace_lint.py "$base.json" \
-      --metrics "$base.metrics.json" --prom "$prom"
-  done
-  echo "==> obs passed"
   exit 0
 fi
 

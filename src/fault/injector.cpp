@@ -4,7 +4,6 @@
 
 #include "net/network.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace pan::fault {
 
@@ -78,7 +77,7 @@ void FaultInjector::apply(const FaultEvent& event) {
     count("fault.overlap_skipped");
     return;
   }
-  ActiveFault active{event, sim_.now(), {}};
+  ActiveFault active{event, {}};
 
   switch (event.kind) {
     case FaultKind::kLinkDown: {
@@ -237,24 +236,6 @@ void FaultInjector::revert(const FaultEvent& event) {
     metrics_->events().record(sim_.now(), "fault", "revert", event.describe());
   }
   PAN_TRACE(kLog) << "revert: " << event.describe();
-}
-
-std::string FaultInjector::active_json() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, active] : active_) {
-    if (!first) out += ",";
-    first = false;
-    out += strings::json_quote(key) + ":{\"applied_ms\":" +
-           strings::format("%.3f", active.applied_at.millis());
-    if (active.event.duration > Duration::zero()) {
-      out += ",\"until_ms\":" +
-             strings::format("%.3f", (active.event.at + active.event.duration).millis());
-    }
-    out += "}";
-  }
-  out += "}";
-  return out;
 }
 
 void FaultInjector::count(const std::string& name) {

@@ -79,8 +79,6 @@ class FaultInjector {
   [[nodiscard]] std::size_t active_count() const { return active_.size(); }
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
   [[nodiscard]] std::uint64_t reverted() const { return reverted_; }
-  /// {"<fault description>": {"applied_ms": ..}, ...} (deterministic order).
-  [[nodiscard]] std::string active_json() const;
 
  private:
   struct LinkBackup {
@@ -90,7 +88,6 @@ class FaultInjector {
   };
   struct ActiveFault {
     FaultEvent event;
-    TimePoint applied_at;
     std::vector<LinkBackup> backups;  // kLinkDegrade only
   };
 

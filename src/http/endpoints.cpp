@@ -21,10 +21,15 @@ transport::TransportConfig default_quic_config() {
   return config;
 }
 
-HttpResponse make_retry_after_response(int status, Duration retry_after,
-                                       const std::string& message) {
+HttpResponse make_error_response(int status, const std::string& message) {
   HttpResponse response = make_text_response(status, message);
   response.headers.set("X-Skip-Error", message);
+  return response;
+}
+
+HttpResponse make_retry_after_response(int status, Duration retry_after,
+                                       const std::string& message) {
+  HttpResponse response = make_error_response(status, message);
   const std::int64_t millis = static_cast<std::int64_t>(retry_after.millis());
   const std::int64_t secs = std::max<std::int64_t>(1, (millis + 999) / 1000);
   response.headers.set("Retry-After", std::to_string(secs));

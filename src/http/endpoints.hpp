@@ -19,6 +19,10 @@ namespace pan::http {
 [[nodiscard]] transport::TransportConfig default_tcp_config();
 [[nodiscard]] transport::TransportConfig default_quic_config();
 
+/// A text error response whose message is echoed in X-Skip-Error: the form
+/// of every error a SKIP proxy or proxy cluster answers by itself.
+[[nodiscard]] HttpResponse make_error_response(int status, const std::string& message);
+
 /// Synthesizes a load-shed / unavailability response (429 or 503). Every
 /// rejection path — admission control, circuit breaker, strict-mode
 /// degradation, pool fast-fail, queue shed — goes through this one helper so

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/log.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pan::http {
@@ -436,22 +437,17 @@ std::vector<OriginPool::OriginSnapshot> OriginPool::snapshot() const {
 }
 
 std::string OriginPool::snapshot_json() const {
-  std::string out = "[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_array();
   for (const OriginSnapshot& snap : snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"origin\":" + strings::json_quote(snap.key);
-    out += strings::format(
-        ",\"conns\":%zu,\"outstanding\":%zu,\"queued\":%zu,\"limit\":%zu,"
-        "\"evictions\":%llu,\"consecutive_failures\":%zu,\"cooling_down\":%s",
-        snap.conns, snap.outstanding, snap.queued, snap.effective_limit,
-        static_cast<unsigned long long>(snap.evictions), snap.consecutive_failures,
-        snap.cooling_down ? "true" : "false");
-    out += "}";
+    w.begin_object().field("origin", snap.key).field("conns", snap.conns);
+    w.field("outstanding", snap.outstanding).field("queued", snap.queued);
+    w.field("limit", snap.effective_limit).field("evictions", snap.evictions);
+    w.field("consecutive_failures", snap.consecutive_failures);
+    w.field("cooling_down", snap.cooling_down).end_object();
   }
-  out += "]";
-  return out;
+  w.end_array();
+  return w.take();
 }
 
 }  // namespace pan::http

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace pan::net {
 namespace {
@@ -210,28 +211,21 @@ std::uint64_t MultiAccessHost::subscribe(HealthFn fn) {
 void MultiAccessHost::unsubscribe(std::uint64_t id) { subscribers_.erase(id); }
 
 std::string MultiAccessHost::snapshot_json() const {
-  std::ostringstream out;
-  out << "{\"accesses\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("accesses").begin_array();
   for (const auto& access : accesses_) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"name\":\"" << access->name << "\""
-        << ",\"health\":\"" << to_string(access->health) << "\""
-        << ",\"ewma_rtt_us\":" << access->ewma.micros()
-        << ",\"probes_sent\":" << access->probes_sent
-        << ",\"probes_acked\":" << access->probes_acked
-        << ",\"failure_streak\":" << access->failure_streak << "}";
+    w.begin_object().field("name", access->name).field("health", to_string(access->health));
+    w.key("ewma_rtt_us").raw(strings::format("%g", access->ewma.micros()));
+    w.field("probes_sent", access->probes_sent).field("probes_acked", access->probes_acked);
+    w.field("failure_streak", access->failure_streak).end_object();
   }
-  out << "],\"weights\":[";
-  first = true;
+  w.end_array().key("weights").begin_array();
   for (const auto& [name, weight] : striping_weights()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"access\":\"" << name << "\",\"weight\":" << weight << "}";
+    w.begin_object().field("access", name).key("weight").raw(strings::format("%g", weight));
+    w.end_object();
   }
-  out << "]}";
-  return out.str();
+  w.end_array().end_object();
+  return w.take();
 }
 
 MultiAccessHost::Access* MultiAccessHost::find(const std::string& name) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pan::obs {
@@ -17,10 +18,9 @@ std::string hex_id(std::uint64_t id) {
   return strings::format("0x%016llx", static_cast<unsigned long long>(id));
 }
 
-void append_attrs(std::string& out, const std::vector<std::pair<std::string, std::string>>& attrs) {
-  for (const auto& [key, value] : attrs) {
-    out += ',' + strings::json_quote(key) + ':' + strings::json_quote(value);
-  }
+void write_attrs(util::JsonWriter& w,
+                 const std::vector<std::pair<std::string, std::string>>& attrs) {
+  for (const auto& [key, value] : attrs) w.field(key, value);
 }
 
 }  // namespace
@@ -104,25 +104,24 @@ void TraceCollector::collect_chrome_events(const TraceRecord& trace,
     auto [it, inserted] = tids.emplace(span.component, 0);
     if (inserted) it->second = static_cast<int>(tids.size());
     const double ts = span.start.nanos() / 1e3;  // trace_event wants microseconds
-    std::string event = "{\"ph\":\"X\",\"name\":" + strings::json_quote(span.name);
-    event += ",\"cat\":" + strings::json_quote(span.component);
-    event += strings::format(",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d", ts,
-                             span.duration.nanos() / 1e3, it->second);
-    event += ",\"args\":{\"trace\":" + strings::json_quote(hex_id(span.trace_id));
-    event += ",\"span\":" + strings::json_quote(hex_id(span.span_id));
-    event += ",\"parent\":" + strings::json_quote(hex_id(span.parent_id));
-    append_attrs(event, span.attrs);
-    event += "}}";
-    out.emplace_back(ts, std::move(event));
+    util::JsonWriter w;
+    w.begin_object().field("ph", "X").field("name", span.name).field("cat", span.component);
+    w.key("ts").fixed(ts, 3).key("dur").fixed(span.duration.nanos() / 1e3, 3);
+    w.field("pid", 1).field("tid", it->second);
+    w.key("args").begin_object().field("trace", hex_id(span.trace_id));
+    w.field("span", hex_id(span.span_id)).field("parent", hex_id(span.parent_id));
+    write_attrs(w, span.attrs);
+    w.end_object().end_object();
+    out.emplace_back(ts, w.take());
   }
   for (const FlightEvent& fe : trace.events) {
     const double ts = fe.at.nanos() / 1e3;
-    std::string event = "{\"ph\":\"i\",\"s\":\"g\",\"name\":" +
-                        strings::json_quote(fe.component + ":" + fe.kind);
-    event += strings::format(",\"ts\":%.3f,\"pid\":1,\"tid\":0", ts);
-    event += ",\"args\":{\"trace\":" + strings::json_quote(hex_id(trace.trace_id));
-    event += ",\"detail\":" + strings::json_quote(fe.detail) + "}}";
-    out.emplace_back(ts, std::move(event));
+    util::JsonWriter w;
+    w.begin_object().field("ph", "i").field("s", "g").field("name", fe.component + ":" + fe.kind);
+    w.key("ts").fixed(ts, 3).field("pid", 1).field("tid", 0);
+    w.key("args").begin_object().field("trace", hex_id(trace.trace_id));
+    w.field("detail", fe.detail).end_object().end_object();
+    out.emplace_back(ts, w.take());
   }
 }
 
@@ -130,21 +129,16 @@ std::string TraceCollector::wrap_chrome_events(const std::map<std::string, int>&
                                                std::vector<std::pair<double, std::string>> events) {
   std::stable_sort(events.begin(), events.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
   for (const auto& [component, tid] : tids) {
-    if (!first) out += ',';
-    first = false;
-    out += strings::format("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":%d", tid);
-    out += ",\"args\":{\"name\":" + strings::json_quote(component) + "}}";
+    w.begin_object().field("ph", "M").field("name", "thread_name").field("pid", 1);
+    w.field("tid", tid).key("args").begin_object().field("name", component);
+    w.end_object().end_object();
   }
-  for (const auto& [ts, event] : events) {
-    if (!first) out += ',';
-    first = false;
-    out += event;
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  for (const auto& [ts, event] : events) w.raw(event);
+  w.end_array().field("displayTimeUnit", "ms").end_object();
+  return w.take();
 }
 
 std::string TraceCollector::chrome_trace_json() const {
@@ -162,32 +156,28 @@ std::string TraceCollector::chrome_trace_json(const TraceRecord& trace) {
 }
 
 std::string TraceCollector::spans_jsonl() const {
-  std::string out;
+  util::JsonWriter w;
   for (const TraceRecord& trace : done_) {
     for (const CollectedSpan& span : trace.spans) {
-      out += "{\"trace\":" + strings::json_quote(hex_id(span.trace_id));
-      out += ",\"span\":" + strings::json_quote(hex_id(span.span_id));
-      out += ",\"parent\":" + strings::json_quote(hex_id(span.parent_id));
-      out += ",\"name\":" + strings::json_quote(span.name);
-      out += ",\"component\":" + strings::json_quote(span.component);
-      out += strings::format(",\"start_ms\":%.6f,\"dur_ms\":%.6f", span.start.millis(),
-                             span.duration.millis());
-      out += ",\"outcome\":" + strings::json_quote(trace.outcome);
-      append_attrs(out, span.attrs);
-      out += "}\n";
+      w.begin_object().field("trace", hex_id(span.trace_id));
+      w.field("span", hex_id(span.span_id)).field("parent", hex_id(span.parent_id));
+      w.field("name", span.name).field("component", span.component);
+      w.key("start_ms").fixed(span.start.millis(), 6);
+      w.key("dur_ms").fixed(span.duration.millis(), 6);
+      w.field("outcome", trace.outcome);
+      write_attrs(w, span.attrs);
+      w.end_object().raw("\n");
     }
   }
-  return out;
+  return w.take();
 }
 
 std::string TraceCollector::stats_json() const {
-  return strings::format(
-      "{\"retained\":%zu,\"pending\":%zu,\"spans_recorded\":%llu,\"spans_dropped\":%llu,"
-      "\"sampled_out\":%llu,\"evicted\":%llu}",
-      done_.size(), pending_.size(), static_cast<unsigned long long>(spans_recorded_),
-      static_cast<unsigned long long>(spans_dropped_),
-      static_cast<unsigned long long>(sampled_out_),
-      static_cast<unsigned long long>(evicted_));
+  util::JsonWriter w;
+  w.begin_object().field("retained", done_.size()).field("pending", pending_.size());
+  w.field("spans_recorded", spans_recorded_).field("spans_dropped", spans_dropped_);
+  w.field("sampled_out", sampled_out_).field("evicted", evicted_).end_object();
+  return w.take();
 }
 
 }  // namespace pan::obs

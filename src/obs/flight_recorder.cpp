@@ -1,7 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include "util/log.hpp"
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace pan::obs {
 
@@ -34,19 +34,15 @@ std::vector<FlightEvent> FlightRecorder::last(std::size_t n) const {
 }
 
 std::string FlightRecorder::snapshot_json() const {
-  std::string out = "[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_array();
   for (const FlightEvent& event : snapshot()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"seq\":" + std::to_string(event.seq);
-    out += strings::format(",\"at_ms\":%.3f", event.at.millis());
-    out += ",\"component\":" + strings::json_quote(event.component);
-    out += ",\"kind\":" + strings::json_quote(event.kind);
-    out += ",\"detail\":" + strings::json_quote(event.detail) + "}";
+    w.begin_object().field("seq", event.seq).key("at_ms").fixed(event.at.millis(), 3);
+    w.field("component", event.component).field("kind", event.kind);
+    w.field("detail", event.detail).end_object();
   }
-  out += "]";
-  return out;
+  w.end_array();
+  return w.take();
 }
 
 }  // namespace pan::obs

@@ -4,17 +4,12 @@
 #include <cstdio>
 #include <set>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pan::obs {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += strings::json_quote(s);
-}
-
-void append_ms(std::string& out, Duration d) { out += strings::format("%.6f", d.millis()); }
 
 /// Prom label values escape backslash, double quote, and newline.
 std::string prom_escape(std::string_view s) {
@@ -192,78 +187,49 @@ std::string MetricsRegistry::to_json(std::string_view prefix) const {
   const auto matches = [prefix](const std::string& name) {
     return prefix.empty() || strings::starts_with(name, prefix);
   };
-  std::string out = "{\"counters\":{";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("counters").begin_object();
   for (const auto& [name, counter] : counters_) {
-    if (!matches(name)) continue;
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    out += std::to_string(counter.value());
+    if (matches(name)) w.field(name, counter.value());
   }
-  out += "},\"gauges\":{";
-  first = true;
+  w.end_object().key("gauges").begin_object();
   for (const auto& [name, gauge] : gauges_) {
-    if (!matches(name)) continue;
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    out += strings::format("%.6f", gauge.value());
+    if (matches(name)) w.key(name).fixed(gauge.value(), 6);
   }
-  out += "},\"histograms\":{";
-  first = true;
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, histogram] : histograms_) {
     if (!matches(name)) continue;
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
     const HistogramSnapshot snap = histogram.snapshot();
-    out += ":{\"count\":" + std::to_string(snap.count);
-    out += ",\"sum_ms\":";
-    append_ms(out, snap.sum);
-    out += ",\"min_ms\":";
-    append_ms(out, snap.min);
-    out += ",\"max_ms\":";
-    append_ms(out, snap.max);
-    out += ",\"p50_ms\":";
-    append_ms(out, snap.p50);
-    out += ",\"p95_ms\":";
-    append_ms(out, snap.p95);
-    out += ",\"p99_ms\":";
-    append_ms(out, snap.p99);
-    out += ",\"p999_ms\":";
-    append_ms(out, snap.p999);
-    out += ",\"buckets\":[";
+    w.key(name).begin_object().field("count", snap.count);
+    w.key("sum_ms").fixed(snap.sum.millis(), 6);
+    w.key("min_ms").fixed(snap.min.millis(), 6);
+    w.key("max_ms").fixed(snap.max.millis(), 6);
+    w.key("p50_ms").fixed(snap.p50.millis(), 6);
+    w.key("p95_ms").fixed(snap.p95.millis(), 6);
+    w.key("p99_ms").fixed(snap.p99.millis(), 6);
+    w.key("p999_ms").fixed(snap.p999.millis(), 6);
+    w.key("buckets").begin_array();
     const auto& bounds = histogram.bounds();
     const auto& counts = histogram.bucket_counts();
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i != 0) out += ',';
-      out += "{\"le_ms\":";
+      w.begin_object().key("le_ms");
       if (i == bounds.size()) {
-        out += "\"+Inf\"";
+        w.value("+Inf");
       } else {
-        append_ms(out, bounds[i]);
+        w.fixed(bounds[i].millis(), 6);
       }
-      out += ",\"count\":" + std::to_string(counts[i]) + "}";
+      w.field("count", counts[i]).end_object();
     }
-    out += "],\"exemplars\":[";
-    bool first_ex = true;
+    w.end_array().key("exemplars").begin_array();
     for (const Exemplar& ex : histogram.exemplars()) {
-      if (!first_ex) out += ',';
-      first_ex = false;
-      out += "{\"value_ms\":";
-      append_ms(out, ex.value);
-      out += ",\"trace_id\":\"" + std::to_string(ex.trace_id) + "\"";
-      out += ",\"at_ms\":";
-      out += strings::format("%.6f", ex.at.millis());
-      out += "}";
+      w.begin_object().key("value_ms").fixed(ex.value.millis(), 6);
+      w.field("trace_id", std::to_string(ex.trace_id));
+      w.key("at_ms").fixed(ex.at.millis(), 6).end_object();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "}}";
-  return out;
+  w.end_object().end_object();
+  return w.take();
 }
 
 std::string prom_name(std::string_view name) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pan::obs {
@@ -111,21 +112,16 @@ bool SloMonitor::any_firing() const {
 }
 
 std::string SloMonitor::snapshot_json() const {
-  std::string out = "[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_array();
   for (const State& state : states_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":" + strings::json_quote(state.objective.name);
-    out += strings::format(
-        ",\"firing\":%s,\"burn_short\":%.3f,\"burn_long\":%.3f,\"target\":%.4f,"
-        "\"fired\":%llu,\"cleared\":%llu}",
-        state.firing ? "true" : "false", state.burn_short, state.burn_long,
-        state.objective.target, static_cast<unsigned long long>(state.fired),
-        static_cast<unsigned long long>(state.cleared));
+    w.begin_object().field("name", state.objective.name).field("firing", state.firing);
+    w.key("burn_short").fixed(state.burn_short, 3).key("burn_long").fixed(state.burn_long, 3);
+    w.key("target").fixed(state.objective.target, 4);
+    w.field("fired", state.fired).field("cleared", state.cleared).end_object();
   }
-  out += "]";
-  return out;
+  w.end_array();
+  return w.take();
 }
 
 std::vector<SloObjective> SloMonitor::default_proxy_objectives() {

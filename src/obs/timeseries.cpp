@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pan::obs {
@@ -94,23 +95,21 @@ SeriesWindow TimeSeriesStore::query(const std::string& name, Duration window) co
 }
 
 std::string TimeSeriesStore::query_json(std::string_view prefix, Duration window) const {
-  std::string out = "{\"interval_ms\":" + strings::format("%.3f", config_.interval.millis()) +
-                    ",\"window_ms\":" + strings::format("%.3f", window.millis()) +
-                    ",\"ticks\":" + std::to_string(ticks_) + ",\"series\":{";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("interval_ms").fixed(config_.interval.millis(), 3);
+  w.key("window_ms").fixed(window.millis(), 3).field("ticks", ticks_);
+  w.key("series").begin_object();
   for (const auto& [name, series] : series_) {
     (void)series;
     if (!prefix.empty() && !strings::starts_with(name, prefix)) continue;
-    const SeriesWindow w = query(name, window);
-    if (!first) out += ',';
-    first = false;
-    out += strings::json_quote(name) + ":{\"delta\":" + std::to_string(w.delta) +
-           ",\"rate_per_s\":" + strings::format("%.6f", w.rate_per_s) +
-           ",\"covered_ms\":" + strings::format("%.3f", w.covered.millis()) +
-           ",\"resets\":" + std::to_string(w.resets) + "}";
+    const SeriesWindow sw = query(name, window);
+    w.key(name).begin_object().field("delta", sw.delta);
+    w.key("rate_per_s").fixed(sw.rate_per_s, 6);
+    w.key("covered_ms").fixed(sw.covered.millis(), 3);
+    w.field("resets", sw.resets).end_object();
   }
-  out += "}}";
-  return out;
+  w.end_object().end_object();
+  return w.take();
 }
 
 }  // namespace pan::obs

@@ -1,6 +1,6 @@
 #include "proxy/circuit_breaker.hpp"
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace pan::proxy {
 
@@ -82,20 +82,16 @@ std::string_view CircuitBreaker::state_name(State state) {
 }
 
 std::string CircuitBreaker::snapshot_json() const {
-  std::string out = "{";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object();
   for (const auto& [key, entry] : entries_) {
-    if (!first) out += ",";
-    first = false;
-    out += strings::json_quote(key) + ":{\"state\":\"" + std::string(state_name(entry.state)) +
-           "\",\"consecutive_failures\":" + std::to_string(entry.consecutive_failures);
-    if (entry.state != State::kClosed) {
-      out += ",\"opened_at_ms\":" + strings::format("%.3f", entry.opened_at.millis());
-    }
-    out += "}";
+    w.key(key).begin_object().field("state", state_name(entry.state));
+    w.field("consecutive_failures", entry.consecutive_failures);
+    if (entry.state != State::kClosed) w.key("opened_at_ms").fixed(entry.opened_at.millis(), 3);
+    w.end_object();
   }
-  out += "}";
-  return out;
+  w.end_object();
+  return w.take();
 }
 
 std::vector<CircuitBreaker::ExportedEntry> CircuitBreaker::export_entries() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "http/url.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -41,12 +42,6 @@ std::uint64_t ring_hash(std::string_view key) {
   h *= 0x94d049bb133111ebULL;
   h ^= h >> 31;
   return h;
-}
-
-http::HttpResponse fleet_error(int status, const std::string& message) {
-  http::HttpResponse response = http::make_text_response(status, message);
-  response.headers.set("X-Skip-Error", message);
-  return response;
 }
 
 }  // namespace
@@ -187,7 +182,7 @@ void ProxyCluster::fetch(http::HttpRequest request, ProxyRequestOptions options,
                          SkipProxy::FetchFn on_result) {
   if (strings::starts_with(request.target, "/skip/")) {
     if (strings::starts_with(request.target, "/skip/fleet")) {
-      serve_fleet(request, std::move(options), on_result);
+      serve_fleet(request, on_result);
       return;
     }
     forward_internal(std::move(request), std::move(options), std::move(on_result));
@@ -343,50 +338,39 @@ void ProxyCluster::refresh_fleet_metrics() {
   fleet_series_.observe(sim_.now());
 }
 
-void ProxyCluster::serve_fleet(const http::HttpRequest& request, ProxyRequestOptions options,
+void ProxyCluster::serve_fleet(const http::HttpRequest& request,
                                const SkipProxy::FetchFn& on_result) {
-  (void)options;
+  static constexpr ControlRoute<ProxyCluster> kRoutes[] = {
+      {"/skip/fleet", RouteMatch::kExact, &ProxyCluster::serve_fleet_state},
+      {"/skip/fleet/metrics", RouteMatch::kExact, &ProxyCluster::serve_fleet_metrics},
+      {"/skip/fleet/metrics.prom", RouteMatch::kExact, &ProxyCluster::serve_fleet_prom},
+  };
   count("fleet.internal");
   fleet_series_.observe(sim_.now());
   ProxyResult result;
   result.transport = TransportUsed::kInternal;
-  const auto [path_view, query] = http::split_target(request.target);
-  const std::string path(path_view);
-  if (request.method != "GET") {
-    result.response = fleet_error(405, "method not allowed: " + request.method);
-    result.response.headers.set("Allow", "GET");
-  } else if (path == "/skip/fleet") {
-    result.response =
-        http::make_response(200, from_string(fleet_json()), "application/json");
-  } else if (path == "/skip/fleet/metrics") {
-    const std::string_view prefix = http::query_param(query, "prefix");
-    const std::string_view window = http::query_param(query, "window");
-    refresh_fleet_metrics();
-    if (!window.empty()) {
-      const auto window_ms = strings::parse_u64(window);
-      if (!window_ms.ok()) {
-        result.response = fleet_error(400, "bad window (want milliseconds): " +
-                                               std::string(window));
-      } else {
-        result.response = http::make_response(
-            200,
-            from_string(fleet_series_.query_json(
-                prefix, milliseconds(static_cast<std::int64_t>(window_ms.value())))),
-            "application/json");
-      }
-    } else {
-      result.response = http::make_response(200, from_string(aggregator_.fleet_json(prefix)),
-                                            "application/json");
-    }
-  } else if (path == "/skip/fleet/metrics.prom") {
-    refresh_fleet_metrics();
-    const std::string_view prefix = http::query_param(query, "prefix");
-    result.response = http::make_response(200, from_string(aggregator_.fleet_prom(prefix)),
-                                          "text/plain; version=0.0.4");
-  } else {
-    result.response = fleet_error(404, "unknown fleet endpoint: " + path);
-  }
+  result.response = serve_control(*this, kRoutes, request, "unknown fleet endpoint: ",
+                                  http::split_target(request.target).path);
   if (on_result) on_result(std::move(result));
+}
+
+http::HttpResponse ProxyCluster::serve_fleet_state(const ControlRequest&) {
+  return json_response(fleet_json());
+}
+
+http::HttpResponse ProxyCluster::serve_fleet_metrics(const ControlRequest& control) {
+  const std::string_view prefix = http::query_param(control.query, "prefix");
+  const std::string_view window = http::query_param(control.query, "window");
+  refresh_fleet_metrics();
+  if (!window.empty()) return windowed_metrics(fleet_series_, prefix, window);
+  return json_response(aggregator_.fleet_json(prefix));
+}
+
+http::HttpResponse ProxyCluster::serve_fleet_prom(const ControlRequest& control) {
+  refresh_fleet_metrics();
+  return http::make_response(
+      200, from_string(aggregator_.fleet_prom(http::query_param(control.query, "prefix"))),
+      "text/plain; version=0.0.4");
 }
 
 void ProxyCluster::forward_internal(http::HttpRequest request, ProxyRequestOptions options,
@@ -685,46 +669,30 @@ SkipProxy* ProxyCluster::replica(const std::string& name) {
 }
 
 std::string ProxyCluster::fleet_json() {
-  std::string body = "{\"replicas\":{";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("replicas").begin_object();
   for (const Replica& rep : replicas_) {
-    if (!first) body += ",";
-    first = false;
-    body += strings::json_quote(rep.name) + ":{\"health\":\"" +
-            std::string(to_string(rep.health)) + "\"" +
-            ",\"generation\":" + std::to_string(rep.generation) +
-            ",\"draining\":" + (rep.draining ? "true" : "false") +
-            ",\"hung\":" + (rep.hung ? "true" : "false") +
-            ",\"probe_misses\":" + std::to_string(rep.probe_misses) +
-            ",\"error_ewma\":" + strings::format("%.4f", rep.error_ewma) +
-            ",\"dispatched\":" + std::to_string(rep.dispatched) +
-            ",\"answered\":" + std::to_string(rep.answered) +
-            ",\"warm_snapshot\":" + (rep.snapshot.taken ? "true" : "false") + "}";
+    w.key(rep.name).begin_object().field("health", to_string(rep.health));
+    w.field("generation", rep.generation).field("draining", rep.draining);
+    w.field("hung", rep.hung).field("probe_misses", rep.probe_misses);
+    w.key("error_ewma").fixed(rep.error_ewma, 4);
+    w.field("dispatched", rep.dispatched).field("answered", rep.answered);
+    w.field("warm_snapshot", rep.snapshot.taken).end_object();
   }
-  body += "},\"ring\":{\"vnodes\":" + std::to_string(ring_.size()) +
-          ",\"replicas\":" + std::to_string(replicas_.size()) + "},\"owners\":{";
-  first = true;
-  for (const auto& [origin, index] : owners_) {
-    if (!first) body += ",";
-    first = false;
-    body += strings::json_quote(origin) + ":" + strings::json_quote(replicas_[index].name);
-  }
+  w.end_object().key("ring").begin_object().field("vnodes", ring_.size());
+  w.field("replicas", replicas_.size()).end_object().key("owners").begin_object();
+  for (const auto& [origin, index] : owners_) w.field(origin, replicas_[index].name);
   const FleetStats stats = this->stats();
-  body += "},\"stats\":{\"requests\":" + std::to_string(stats.requests) +
-          ",\"failovers\":" + std::to_string(stats.failovers) +
-          ",\"handoffs\":" + std::to_string(stats.handoffs) +
-          ",\"shed\":" + std::to_string(stats.shed) +
-          ",\"no_replica\":" + std::to_string(stats.no_replica) +
-          ",\"crashes\":" + std::to_string(stats.crashes) +
-          ",\"restarts_warm\":" + std::to_string(stats.restarts_warm) +
-          ",\"restarts_cold\":" + std::to_string(stats.restarts_cold) +
-          ",\"probes\":" + std::to_string(stats.probes) +
-          ",\"probe_misses\":" + std::to_string(stats.probe_misses) +
-          ",\"cache_broadcasts\":" + std::to_string(stats.cache_broadcasts) +
-          ",\"cache_invalidations\":" + std::to_string(stats.cache_invalidations) +
-          ",\"drains\":" + std::to_string(stats.drains) +
-          ",\"in_flight\":" + std::to_string(pending_.size()) + "}}";
-  return body;
+  w.end_object().key("stats").begin_object();
+  w.field("requests", stats.requests).field("failovers", stats.failovers);
+  w.field("handoffs", stats.handoffs).field("shed", stats.shed);
+  w.field("no_replica", stats.no_replica).field("crashes", stats.crashes);
+  w.field("restarts_warm", stats.restarts_warm).field("restarts_cold", stats.restarts_cold);
+  w.field("probes", stats.probes).field("probe_misses", stats.probe_misses);
+  w.field("cache_broadcasts", stats.cache_broadcasts);
+  w.field("cache_invalidations", stats.cache_invalidations).field("drains", stats.drains);
+  w.field("in_flight", pending_.size()).end_object().end_object();
+  return w.take();
 }
 
 FleetStats ProxyCluster::stats() const {

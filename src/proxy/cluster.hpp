@@ -234,8 +234,11 @@ class ProxyCluster {
   void shed(const PendingPtr& pending, const std::string& why);
   void deliver(const PendingPtr& pending, ProxyResult result);
 
-  void serve_fleet(const http::HttpRequest& request, ProxyRequestOptions options,
-                   const SkipProxy::FetchFn& on_result);
+  /// Serves the cluster's own /skip/fleet* endpoints from one route table.
+  void serve_fleet(const http::HttpRequest& request, const SkipProxy::FetchFn& on_result);
+  http::HttpResponse serve_fleet_state(const ControlRequest& control);
+  http::HttpResponse serve_fleet_metrics(const ControlRequest& control);
+  http::HttpResponse serve_fleet_prom(const ControlRequest& control);
   /// Forwards a non-fleet /skip/* control request to the first live replica.
   void forward_internal(http::HttpRequest request, ProxyRequestOptions options,
                         SkipProxy::FetchFn on_result);

@@ -1,6 +1,6 @@
 #include "proxy/fleet_metrics.hpp"
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace pan::proxy {
 
@@ -80,26 +80,21 @@ bool FleetMetricsAggregator::build_replica(const std::string& name,
 }
 
 std::string FleetMetricsAggregator::fleet_json(std::string_view prefix) const {
-  std::string out = "{\"replicas\":{";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("replicas").begin_object();
   for (const auto& [name, slot] : slots_) {
-    if (!first) out += ',';
-    first = false;
     obs::MetricsRegistry view;
     merge_slot_into(slot, view);
-    out += strings::json_quote(name) +
-           ":{\"generation\":" + std::to_string(slot.generation) +
-           ",\"folds\":" + std::to_string(slot.folds) +
-           ",\"last_ingest_ms\":" + strings::format("%.3f", slot.last_ingest.millis()) +
-           ",\"metrics\":" + view.to_json(prefix) + "}";
+    w.key(name).begin_object().field("generation", slot.generation).field("folds", slot.folds);
+    w.key("last_ingest_ms").fixed(slot.last_ingest.millis(), 3);
+    w.key("metrics").raw(view.to_json(prefix)).end_object();
   }
   obs::MetricsRegistry merged;
   build_merged(merged);
-  out += "},\"fleet\":" + merged.to_json(prefix);
-  out += ",\"ingests\":" + std::to_string(ingests_);
-  out += ",\"generation_folds\":" + std::to_string(folds_);
-  out += ",\"layout_conflicts\":" + std::to_string(layout_conflicts_) + "}";
-  return out;
+  w.end_object().key("fleet").raw(merged.to_json(prefix));
+  w.field("ingests", ingests_).field("generation_folds", folds_);
+  w.field("layout_conflicts", layout_conflicts_).end_object();
+  return w.take();
 }
 
 std::string FleetMetricsAggregator::fleet_prom(std::string_view prefix) const {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace pan::proxy {
 
@@ -187,44 +187,26 @@ void IdentityPathBroker::record_result(const std::string& id, bool over_scion,
 
 std::string IdentityPathBroker::snapshot_json() const {
   const TimePoint now = sim_.now();
-  std::string out = "{\"identities\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("identities").begin_array();
   for (const auto& [id, ident] : identities_) {
-    if (!first) out += ",";
-    first = false;
     const IdentityStats& stats = ident.stats();
-    out += "{\"id\":" + strings::json_quote(id);
-    out += strings::format(
-        ",\"created_at_ms\":%.3f,\"requests\":%llu,\"bytes\":%llu,\"over_scion\":%llu,"
-        "\"over_ip\":%llu,\"path_collisions\":%llu,\"rotations\":%llu",
-        ident.created_at().millis(), static_cast<unsigned long long>(stats.requests),
-        static_cast<unsigned long long>(stats.bytes),
-        static_cast<unsigned long long>(stats.over_scion),
-        static_cast<unsigned long long>(stats.over_ip),
-        static_cast<unsigned long long>(stats.path_collisions),
-        static_cast<unsigned long long>(stats.rotations));
-    out += ",\"quarantined\":" + std::to_string(ident.quarantined_count(now));
-    out += ",\"assignments\":{";
-    bool first_assignment = true;
-    for (const auto& [origin, fingerprint] : ident.assignments()) {
-      if (!first_assignment) out += ",";
-      first_assignment = false;
-      out += strings::json_quote(origin) + ":" + strings::json_quote(fingerprint);
-    }
-    out += "},\"audit\":[";
-    bool first_event = true;
+    w.begin_object().field("id", id).key("created_at_ms").fixed(ident.created_at().millis(), 3);
+    w.field("requests", stats.requests).field("bytes", stats.bytes);
+    w.field("over_scion", stats.over_scion).field("over_ip", stats.over_ip);
+    w.field("path_collisions", stats.path_collisions).field("rotations", stats.rotations);
+    w.field("quarantined", ident.quarantined_count(now));
+    w.key("assignments").begin_object();
+    for (const auto& [origin, fingerprint] : ident.assignments()) w.field(origin, fingerprint);
+    w.end_object().key("audit").begin_array();
     for (const IdentityAuditEvent& event : ident.audit()) {
-      if (!first_event) out += ",";
-      first_event = false;
-      out += strings::format("{\"at_ms\":%.3f,\"event\":", event.at.millis());
-      out += strings::json_quote(event.event);
-      out += ",\"origin\":" + strings::json_quote(event.origin);
-      out += ",\"detail\":" + strings::json_quote(event.detail) + "}";
+      w.begin_object().key("at_ms").fixed(event.at.millis(), 3).field("event", event.event);
+      w.field("origin", event.origin).field("detail", event.detail).end_object();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 }  // namespace pan::proxy

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/log.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pan::proxy {
@@ -113,18 +114,14 @@ void AimdController::record(const std::string& key, Duration latency, bool ok) {
 }
 
 std::string AimdController::snapshot_json() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, w] : windows_) {
-    if (!first) out += ",";
-    first = false;
-    out += strings::json_quote(key) + ":" +
-           strings::format("{\"limit\":%zu,\"narrowed\":%llu}",
-                           static_cast<std::size_t>(std::floor(w.limit)),
-                           static_cast<unsigned long long>(w.narrowed));
+  util::JsonWriter w;
+  w.begin_object();
+  for (const auto& [key, window] : windows_) {
+    w.key(key).begin_object().field("limit", static_cast<std::size_t>(std::floor(window.limit)));
+    w.field("narrowed", window.narrowed).end_object();
   }
-  out += "}";
-  return out;
+  w.end_object();
+  return w.take();
 }
 
 // --- OverloadController -----------------------------------------------------
@@ -249,14 +246,13 @@ bool OverloadController::brownout() {
 }
 
 std::string OverloadController::snapshot_json() const {
-  return strings::format(
-      "{\"enabled\":%s,\"in_flight\":%zu,\"max_in_flight\":%zu,\"pressure\":%.3f,"
-      "\"brownout\":%s,\"admitted\":%llu,\"rejected_rate\":%llu,"
-      "\"rejected_capacity\":%llu}",
-      config_.enabled ? "true" : "false", in_flight_, config_.max_in_flight, pressure_,
-      brownout_ ? "true" : "false", static_cast<unsigned long long>(admitted_.value()),
-      static_cast<unsigned long long>(rejected_rate_.value()),
-      static_cast<unsigned long long>(rejected_capacity_.value()));
+  util::JsonWriter w;
+  w.begin_object().field("enabled", config_.enabled).field("in_flight", in_flight_);
+  w.field("max_in_flight", config_.max_in_flight).key("pressure").fixed(pressure_, 3);
+  w.field("brownout", brownout_).field("admitted", admitted_.value());
+  w.field("rejected_rate", rejected_rate_.value());
+  w.field("rejected_capacity", rejected_capacity_.value()).end_object();
+  return w.take();
 }
 
 }  // namespace pan::proxy

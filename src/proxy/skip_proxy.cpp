@@ -4,6 +4,7 @@
 
 #include "http/strict_scion.hpp"
 #include "proxy/negotiation.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -35,12 +36,6 @@ constexpr Duration kFallbackMargin = seconds(2);
 /// access is down (503).
 constexpr Duration kStrictRetryAfter = seconds(1);
 
-http::HttpResponse synthetic_error(int status, const std::string& message) {
-  http::HttpResponse response = http::make_text_response(status, message);
-  response.headers.set("X-Skip-Error", message);
-  return response;
-}
-
 /// A fleet of replicas shares kRetryJitterSeed, and identically-seeded Rngs
 /// would make every replica compute the *same* backoff jitter — after a
 /// shared fault the whole fleet retries in synchronized waves, defeating the
@@ -50,24 +45,6 @@ http::HttpResponse synthetic_error(int status, const std::string& message) {
 std::uint64_t salted_jitter_seed() {
   static std::uint64_t instance_seq = 0;
   return kRetryJitterSeed ^ (0x9e3779b97f4a7c15ULL * ++instance_seq);
-}
-
-/// The /skip/ control space is GET-only: exact endpoints plus the two
-/// parameterized prefixes. Used to answer 405 (not 404) on known paths.
-bool is_known_internal_endpoint(std::string_view target) {
-  static constexpr std::string_view kExact[] = {
-      "/skip/metrics", "/skip/pool",     "/skip/health", "/skip/traces",
-      "/skip/identity", "/skip/debug",   "/skip/ping",   "/skip/access",
-      "/skip/metrics.prom",
-  };
-  static constexpr std::string_view kPrefixes[] = {"/skip/trace/", "/skip/identity/rotate/"};
-  for (const std::string_view endpoint : kExact) {
-    if (target == endpoint) return true;
-  }
-  for (const std::string_view prefix : kPrefixes) {
-    if (strings::starts_with(target, prefix)) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -314,36 +291,6 @@ obs::TracePtr SkipProxy::make_trace() {
   return std::make_shared<obs::RequestTrace>(sim_, trace_id_base_ | next_trace_id_++);
 }
 
-ProxyStats SkipProxy::stats() const {
-  ProxyStats stats;
-  stats.requests = metrics_->counter_value("proxy.requests");
-  stats.over_scion = metrics_->counter_value("proxy.over_scion");
-  stats.over_ip = metrics_->counter_value("proxy.over_ip");
-  stats.blocked = metrics_->counter_value("proxy.blocked");
-  stats.errors = metrics_->counter_value("proxy.errors");
-  stats.internal = metrics_->counter_value("proxy.internal");
-  stats.fallbacks = metrics_->counter_value("proxy.fallbacks");
-  stats.timeouts = metrics_->counter_value("proxy.timeouts");
-  stats.bytes_scion = metrics_->counter_value("proxy.bytes_scion");
-  stats.bytes_ip = metrics_->counter_value("proxy.bytes_ip");
-  stats.scmp_reports = metrics_->counter_value("proxy.scmp_reports");
-  stats.scmp_reroutes = metrics_->counter_value("proxy.scmp_reroutes");
-  stats.scion_failures = metrics_->counter_value("proxy.scion_failures");
-  stats.gateway_errors = metrics_->counter_value("proxy.gateway_errors");
-  stats.retries = metrics_->counter_value("proxy.retries");
-  stats.attempt_timeouts = metrics_->counter_value("proxy.attempt_timeouts");
-  stats.breaker_short_circuits = metrics_->counter_value("proxy.breaker_short_circuits");
-  stats.strict_unavailable = metrics_->counter_value("proxy.strict_unavailable");
-  stats.admitted = metrics_->counter_value("overload.admitted");
-  stats.rejected_rate = metrics_->counter_value("overload.rejected_rate");
-  stats.rejected_capacity = metrics_->counter_value("overload.rejected_capacity");
-  stats.shed = metrics_->counter_value("overload.shed_requests");
-  stats.brownout_bypasses = metrics_->counter_value("overload.brownout_bypass");
-  stats.access_down_events = metrics_->counter_value("proxy.access_down_events");
-  stats.access_failovers = metrics_->counter_value("proxy.access_failovers");
-  return stats;
-}
-
 std::vector<SkipProxy::PooledScionOrigin> SkipProxy::scion_pool_snapshot() {
   std::vector<PooledScionOrigin> out;
   scion_pool_.for_each_connection(
@@ -544,7 +491,7 @@ void SkipProxy::fetch(http::HttpRequest request, ProxyRequestOptions options,
     req->trace->set_outcome("timeout");
     ProxyResult result;
     result.transport = TransportUsed::kError;
-    result.response = synthetic_error(504, "proxy request deadline exceeded");
+    result.response = http::make_error_response(504, "proxy request deadline exceeded");
     finish(req, std::move(result));
   });
 
@@ -646,147 +593,128 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
 }
 
 void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPtr& req) {
-  // Endpoints take query parameters (?prefix=, ?window=); dispatch on the
-  // path component only so "/skip/metrics?prefix=slo." still routes.
-  const auto [path_view, query] = http::split_target(request.target);
-  const std::string path(path_view);
+  static constexpr ControlRoute<SkipProxy> kRoutes[] = {
+      {"/skip/ping", RouteMatch::kExact, &SkipProxy::serve_ping},
+      {"/skip/metrics", RouteMatch::kExact, &SkipProxy::serve_metrics},
+      {"/skip/metrics.prom", RouteMatch::kExact, &SkipProxy::serve_metrics_prom},
+      {"/skip/pool", RouteMatch::kExact, &SkipProxy::serve_pool},
+      {"/skip/health", RouteMatch::kExact, &SkipProxy::serve_health},
+      {"/skip/traces", RouteMatch::kExact, &SkipProxy::serve_traces},
+      {"/skip/trace/", RouteMatch::kPrefix, &SkipProxy::serve_trace},
+      {"/skip/access", RouteMatch::kExact, &SkipProxy::serve_access},
+      {"/skip/identity", RouteMatch::kExact, &SkipProxy::serve_identity},
+      {"/skip/identity/rotate/", RouteMatch::kPrefix, &SkipProxy::serve_identity_rotate},
+      {"/skip/debug", RouteMatch::kExact, &SkipProxy::serve_debug},
+  };
   timeseries_.observe(sim_.now());
   ProxyResult result;
   result.transport = TransportUsed::kInternal;
-  // Method gate first: a non-GET on a *known* endpoint is 405 + Allow, not
-  // 404 — fleet front-ends and load balancers probe with HEAD/POST and must
-  // be able to tell "wrong verb" from "no such endpoint".
-  if (request.method != "GET" && is_known_internal_endpoint(path)) {
-    result.response = synthetic_error(405, "method not allowed: " + request.method);
-    result.response.headers.set("Allow", "GET");
-    finish(req, std::move(result));
-    return;
-  }
-  if (path == "/skip/ping") {
-    // Liveness probe (the fleet's health prober hits this): cheap, constant,
-    // and served even when every origin-facing subsystem is on fire.
-    result.response =
-        http::make_response(200, from_string("{\"ok\":true}"), "application/json");
-  } else if (path == "/skip/metrics") {
-    metrics_->gauge("proxy.scion_pool_size")
-        .set(static_cast<double>(scion_pool_.origin_count()));
-    metrics_->gauge("proxy.legacy_pool_size")
-        .set(static_cast<double>(legacy_pool_.origin_count()));
-    const std::string prefix(http::query_param(query, "prefix"));
-    const std::string_view window_text = http::query_param(query, "window");
-    if (!window_text.empty()) {
-      // ?window=<ms>: rate/delta over the trailing window from the
-      // time-series store instead of the lifetime-cumulative dump.
-      const auto window_ms = strings::parse_u64(window_text);
-      if (!window_ms.ok()) {
-        result.response = synthetic_error(400, "bad window (want milliseconds): " +
-                                                   std::string(window_text));
-      } else {
-        result.response = http::make_response(
-            200,
-            from_string(timeseries_.query_json(
-                prefix, milliseconds(static_cast<std::int64_t>(window_ms.value())))),
-            "application/json");
-      }
-    } else {
-      result.response = http::make_response(200, from_string(metrics_->to_json(prefix)),
-                                            "application/json");
-    }
-  } else if (path == "/skip/metrics.prom") {
-    std::vector<std::pair<std::string, std::string>> labels;
-    if (!config_.prom_instance.empty()) labels.emplace_back("instance", config_.prom_instance);
-    const std::string prefix(http::query_param(query, "prefix"));
-    result.response = http::make_response(200, from_string(metrics_->to_prom(prefix, labels)),
-                                          "text/plain; version=0.0.4");
-  } else if (path == "/skip/pool") {
-    // Per-origin pool state; the scion side additionally reports the path
-    // each pooled connection currently rides.
-    std::string body = "{\"legacy\":" + legacy_pool_.snapshot_json() + ",\"scion\":" +
-                       scion_pool_.snapshot_json() + ",\"scion_paths\":{";
-    bool first = true;
-    for (const PooledScionOrigin& origin : scion_pool_snapshot()) {
-      if (!first) body += ",";
-      first = false;
-      body += strings::json_quote(origin.key) + ":" +
-              strings::json_quote(origin.path_fingerprint);
-    }
-    body += "}}";
-    result.response = http::make_response(200, from_string(body), "application/json");
-  } else if (path == "/skip/health") {
-    // Resilience-state dump: circuit breakers, quarantined paths, active
-    // revocations, and every fault.* counter the injector shares with us.
-    std::string body = "{\"breaker\":" + breaker_.snapshot_json() +
-                       ",\"breaker_open\":" + std::to_string(breaker_.open_count()) +
-                       ",\"quarantines\":{";
-    bool first = true;
-    for (const auto& [fingerprint, expires] : selector_.quarantine_snapshot()) {
-      if (!first) body += ",";
-      first = false;
-      body += strings::json_quote(fingerprint) + ":" +
-              strings::format("%.3f", expires.millis());
-    }
-    body += "},\"revocations_active\":" + std::to_string(selector_.active_revocations());
-    body += ",\"overload\":" + overload_.snapshot_json();
-    body += ",\"adaptive\":{\"legacy\":" + legacy_limiter_.snapshot_json() +
-            ",\"scion\":" + scion_limiter_.snapshot_json() + "}";
-    slo_.evaluate(sim_.now());
-    body += ",\"slo\":" + slo_.snapshot_json();
-    body += ",\"faults\":{";
-    first = true;
-    for (const auto& [name, counter] : metrics_->counters()) {
-      if (!strings::starts_with(name, "fault.")) continue;
-      if (!first) body += ",";
-      first = false;
-      body += strings::json_quote(name) + ":" + std::to_string(counter.value());
-    }
-    body += "}}";
-    result.response = http::make_response(200, from_string(body), "application/json");
-  } else if (path == "/skip/traces") {
-    result.response = http::make_response(200, from_string(collector_->spans_jsonl()),
-                                          "application/x-ndjson");
-  } else if (strings::starts_with(path, "/skip/trace/")) {
-    const auto id = strings::parse_u64(
-        std::string_view(path).substr(std::string_view("/skip/trace/").size()));
-    const obs::TraceRecord* record = id.ok() ? collector_->find(id.value()) : nullptr;
-    if (record == nullptr) {
-      result.response = synthetic_error(404, "no such trace: " + request.target);
-    } else {
-      result.response = http::make_response(
-          200, from_string(obs::TraceCollector::chrome_trace_json(*record)),
-          "application/json");
-    }
-  } else if (path == "/skip/access") {
-    // Multi-access state: per-access health, probe EWMA, striping weights.
-    result.response = http::make_response(
-        200,
-        from_string(multi_access_ != nullptr ? multi_access_->snapshot_json()
-                                             : std::string("{\"accesses\":[]}")),
-        "application/json");
-  } else if (path == "/skip/identity") {
-    // Per-identity isolation state: stats, live path assignments, audit.
-    result.response = http::make_response(200, from_string(identities_.snapshot_json()),
-                                          "application/json");
-  } else if (strings::starts_with(path, "/skip/identity/rotate/")) {
-    const std::string id = sanitize_identity(std::string_view(path)
-                                                 .substr(std::string_view(
-                                                             "/skip/identity/rotate/")
-                                                             .size()));
-    rotate_identity(id);
-    result.response = http::make_response(
-        200, from_string("{\"rotated\":" + strings::json_quote(id) + "}"),
-        "application/json");
-  } else if (path == "/skip/debug") {
-    // The flight-recorder snapshot plus collector and SLO state — the first
-    // stop when a scenario goes sideways.
-    slo_.evaluate(sim_.now());
-    std::string body = "{\"events\":" + metrics_->events().snapshot_json();
-    body += ",\"collector\":" + collector_->stats_json();
-    body += ",\"slo\":" + slo_.snapshot_json() + "}";
-    result.response = http::make_response(200, from_string(body), "application/json");
-  } else {
-    result.response = synthetic_error(404, "unknown proxy endpoint: " + request.target);
-  }
+  result.response =
+      serve_control(*this, kRoutes, request, "unknown proxy endpoint: ", request.target);
   finish(req, std::move(result));
+}
+
+http::HttpResponse SkipProxy::serve_ping(const ControlRequest&) {
+  // Liveness probe (the fleet's health prober hits this): cheap, constant,
+  // and served even when every origin-facing subsystem is on fire.
+  return json_response("{\"ok\":true}");
+}
+
+http::HttpResponse SkipProxy::serve_metrics(const ControlRequest& control) {
+  metrics_->gauge("proxy.scion_pool_size").set(static_cast<double>(scion_pool_.origin_count()));
+  metrics_->gauge("proxy.legacy_pool_size")
+      .set(static_cast<double>(legacy_pool_.origin_count()));
+  const std::string_view prefix = http::query_param(control.query, "prefix");
+  const std::string_view window = http::query_param(control.query, "window");
+  if (!window.empty()) return windowed_metrics(timeseries_, prefix, window);
+  return json_response(metrics_->to_json(prefix));
+}
+
+http::HttpResponse SkipProxy::serve_metrics_prom(const ControlRequest& control) {
+  std::vector<std::pair<std::string, std::string>> labels;
+  if (!config_.prom_instance.empty()) labels.emplace_back("instance", config_.prom_instance);
+  const std::string_view prefix = http::query_param(control.query, "prefix");
+  return http::make_response(200, from_string(metrics_->to_prom(prefix, labels)),
+                             "text/plain; version=0.0.4");
+}
+
+http::HttpResponse SkipProxy::serve_pool(const ControlRequest&) {
+  // Per-origin pool state; the scion side additionally reports the path
+  // each pooled connection currently rides.
+  util::JsonWriter w;
+  w.begin_object().key("legacy").raw(legacy_pool_.snapshot_json());
+  w.key("scion").raw(scion_pool_.snapshot_json()).key("scion_paths").begin_object();
+  for (const PooledScionOrigin& origin : scion_pool_snapshot()) {
+    w.field(origin.key, origin.path_fingerprint);
+  }
+  w.end_object().end_object();
+  return json_response(w.take());
+}
+
+http::HttpResponse SkipProxy::serve_health(const ControlRequest&) {
+  // Resilience-state dump: circuit breakers, quarantined paths, active
+  // revocations, and every fault.* counter the injector shares with us.
+  util::JsonWriter w;
+  w.begin_object().key("breaker").raw(breaker_.snapshot_json());
+  w.field("breaker_open", breaker_.open_count()).key("quarantines").begin_object();
+  for (const auto& [fingerprint, expires] : selector_.quarantine_snapshot()) {
+    w.key(fingerprint).fixed(expires.millis(), 3);
+  }
+  w.end_object().field("revocations_active", selector_.active_revocations());
+  w.key("overload").raw(overload_.snapshot_json());
+  w.key("adaptive").begin_object().key("legacy").raw(legacy_limiter_.snapshot_json());
+  w.key("scion").raw(scion_limiter_.snapshot_json()).end_object();
+  slo_.evaluate(sim_.now());
+  w.key("slo").raw(slo_.snapshot_json()).key("faults").begin_object();
+  for (const auto& [name, counter] : metrics_->counters()) {
+    if (strings::starts_with(name, "fault.")) w.field(name, counter.value());
+  }
+  w.end_object().end_object();
+  return json_response(w.take());
+}
+
+http::HttpResponse SkipProxy::serve_traces(const ControlRequest&) {
+  return http::make_response(200, from_string(collector_->spans_jsonl()),
+                             "application/x-ndjson");
+}
+
+http::HttpResponse SkipProxy::serve_trace(const ControlRequest& control) {
+  const auto id = strings::parse_u64(control.tail);
+  const obs::TraceRecord* record = id.ok() ? collector_->find(id.value()) : nullptr;
+  if (record == nullptr) {
+    return http::make_error_response(404, "no such trace: " + control.http.target);
+  }
+  return json_response(obs::TraceCollector::chrome_trace_json(*record));
+}
+
+http::HttpResponse SkipProxy::serve_access(const ControlRequest&) {
+  // Multi-access state: per-access health, probe EWMA, striping weights.
+  if (multi_access_ == nullptr) return json_response("{\"accesses\":[]}");
+  return json_response(multi_access_->snapshot_json());
+}
+
+http::HttpResponse SkipProxy::serve_identity(const ControlRequest&) {
+  // Per-identity isolation state: stats, live path assignments, audit.
+  return json_response(identities_.snapshot_json());
+}
+
+http::HttpResponse SkipProxy::serve_identity_rotate(const ControlRequest& control) {
+  const std::string id = sanitize_identity(control.tail);
+  rotate_identity(id);
+  util::JsonWriter w;
+  w.begin_object().field("rotated", id).end_object();
+  return json_response(w.take());
+}
+
+http::HttpResponse SkipProxy::serve_debug(const ControlRequest&) {
+  // The flight-recorder snapshot plus collector and SLO state — the first
+  // stop when a scenario goes sideways.
+  slo_.evaluate(sim_.now());
+  util::JsonWriter w;
+  w.begin_object().key("events").raw(metrics_->events().snapshot_json());
+  w.key("collector").raw(collector_->stats_json());
+  w.key("slo").raw(slo_.snapshot_json()).end_object();
+  return json_response(w.take());
 }
 
 void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
@@ -809,7 +737,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
       metrics_->counter("proxy.bad_requests").inc();
       ProxyResult result;
       result.response =
-          synthetic_error(400, "unsupported scheme in proxy request: '" + scheme + "'");
+          http::make_error_response(400, "unsupported scheme in proxy request: '" + scheme + "'");
       finish(req, std::move(result));
       return;
     }
@@ -820,7 +748,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
   if (!url.ok()) {
     metrics_->counter("proxy.bad_requests").inc();
     ProxyResult result;
-    result.response = synthetic_error(400, "bad proxy request URL: " + url.error());
+    result.response = http::make_error_response(400, "bad proxy request URL: " + url.error());
     finish(req, std::move(result));
     return;
   }
@@ -835,14 +763,14 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
       if (options.strict) {
         ProxyResult result;
         result.transport = TransportUsed::kBlocked;
-        result.response =
-            synthetic_error(502, "strict mode: " + url.host + " is not reachable over SCION");
+        result.response = http::make_error_response(
+            502, "strict mode: " + url.host + " is not reachable over SCION");
         finish(req, std::move(result));
         return;
       }
       if (!host.ip.has_value()) {
         ProxyResult result;
-        result.response = synthetic_error(502, "cannot resolve " + url.host);
+        result.response = http::make_error_response(502, "cannot resolve " + url.host);
         finish(req, std::move(result));
         return;
       }
@@ -971,7 +899,7 @@ void SkipProxy::start_scion_attempt(const ScionContextPtr& ctx, const RequestPtr
       // No path and no legacy address: a later attempt is the only hope.
     } else {
       ProxyResult result;
-      result.response = synthetic_error(
+      result.response = http::make_error_response(
           502, "no SCION path and no legacy address for " + ctx->url.host);
       finish(req, std::move(result));
     }
@@ -1058,7 +986,7 @@ void SkipProxy::handle_scion_failure(const ScionContextPtr& ctx, const RequestPt
   }
   req->trace->set_outcome("fault");
   ProxyResult out;
-  out.response = synthetic_error(502, "SCION fetch failed: " + error);
+  out.response = http::make_error_response(502, "SCION fetch failed: " + error);
   finish(req, std::move(out));
 }
 
@@ -1293,18 +1221,19 @@ void SkipProxy::fetch_over_ip(const http::Url& url, http::HttpRequest request, n
           } else if (http::OriginPool::is_expired(result.error())) {
             metrics_->counter("proxy.timeouts").inc();
             req->trace->set_outcome("timeout");
-            out.response = synthetic_error(504, "deadline expired: " + result.error());
+            out.response = http::make_error_response(504, "deadline expired: " + result.error());
           } else if (http::OriginPool::is_queue_timeout(result.error())) {
             metrics_->counter("proxy.timeouts").inc();
             req->trace->set_outcome("timeout");
-            out.response = synthetic_error(504, "legacy fetch timed out: " + result.error());
+            out.response =
+                http::make_error_response(504, "legacy fetch timed out: " + result.error());
           } else if (http::OriginPool::is_fast_fail(result.error())) {
             req->trace->set_outcome("fault");
             out.response = http::make_retry_after_response(
                 503, kPoolBackoffCooldown, "origin unavailable: " + result.error());
           } else {
             req->trace->set_outcome("fault");
-            out.response = synthetic_error(502, "legacy fetch failed: " + result.error());
+            out.response = http::make_error_response(502, "legacy fetch failed: " + result.error());
           }
           finish(req, std::move(out));
           return;

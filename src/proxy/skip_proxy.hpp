@@ -61,6 +61,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "proxy/circuit_breaker.hpp"
+#include "proxy/control_routes.hpp"
 #include "proxy/detector.hpp"
 #include "proxy/identity.hpp"
 #include "proxy/overload.hpp"
@@ -190,46 +191,6 @@ struct ProxyResult {
   [[nodiscard]] Duration phase_total(std::string_view phase) const;
 };
 
-/// Snapshot of the proxy's top-level counters, read from the metrics
-/// registry (kept as a struct for ergonomic assertions and display).
-struct ProxyStats {
-  std::uint64_t requests = 0;
-  std::uint64_t over_scion = 0;
-  std::uint64_t over_ip = 0;
-  std::uint64_t blocked = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t internal = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t bytes_scion = 0;
-  std::uint64_t bytes_ip = 0;
-  /// SCMP reports received and live connections migrated to new paths.
-  std::uint64_t scmp_reports = 0;
-  std::uint64_t scmp_reroutes = 0;
-  /// Resilience layer: failed SCION attempts, retries scheduled, attempts
-  /// abandoned on the per-attempt timer, breaker short-circuits, and strict
-  /// requests degraded to 503 + Retry-After.
-  std::uint64_t scion_failures = 0;
-  /// 502/503/504 responses received over SCION and treated as retryable
-  /// attempt failures (sick upstream, healthy path).
-  std::uint64_t gateway_errors = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t attempt_timeouts = 0;
-  std::uint64_t breaker_short_circuits = 0;
-  std::uint64_t strict_unavailable = 0;
-  /// Overload layer: admissions, 429/503 rejections at ingress, requests
-  /// answered from a pool shed (fast 503), and brownout legacy bypasses.
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_rate = 0;
-  std::uint64_t rejected_capacity = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t brownout_bypasses = 0;
-  /// Multi-access layer: access-down transitions observed and in-flight
-  /// fetches migrated to a surviving access mid-attempt.
-  std::uint64_t access_down_events = 0;
-  std::uint64_t access_failovers = 0;
-};
-
 class SkipProxy {
  public:
   SkipProxy(sim::Simulator& sim, net::Host& host, scion::ScionStack& stack,
@@ -299,7 +260,6 @@ class SkipProxy {
   [[nodiscard]] obs::TimeSeriesStore& timeseries() { return timeseries_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return *metrics_; }
-  [[nodiscard]] ProxyStats stats() const;
   [[nodiscard]] const ProxyConfig& config() const { return config_; }
   /// Negotiated per-origin server path preferences (from Path-Preference
   /// response headers).
@@ -359,8 +319,19 @@ class SkipProxy {
   using ScionContextPtr = std::shared_ptr<ScionContext>;
 
   void process(http::HttpRequest request, ProxyRequestOptions options, RequestPtr req);
-  /// Serves the proxy's own /skip/* control endpoints.
+  /// Serves the proxy's own /skip/* control endpoints from one route table.
   void serve_internal(const http::HttpRequest& request, const RequestPtr& req);
+  http::HttpResponse serve_ping(const ControlRequest& control);
+  http::HttpResponse serve_metrics(const ControlRequest& control);
+  http::HttpResponse serve_metrics_prom(const ControlRequest& control);
+  http::HttpResponse serve_pool(const ControlRequest& control);
+  http::HttpResponse serve_health(const ControlRequest& control);
+  http::HttpResponse serve_traces(const ControlRequest& control);
+  http::HttpResponse serve_trace(const ControlRequest& control);
+  http::HttpResponse serve_access(const ControlRequest& control);
+  http::HttpResponse serve_identity(const ControlRequest& control);
+  http::HttpResponse serve_identity_rotate(const ControlRequest& control);
+  http::HttpResponse serve_debug(const ControlRequest& control);
   void finish(const RequestPtr& req, ProxyResult result);
   /// One SCION attempt: path selection then fetch. Called for the first
   /// attempt and again on every retry.

@@ -33,9 +33,9 @@ namespace pan::strings {
 [[nodiscard]] std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// JSON string-escapes `s` (quotes, backslashes, control characters) without
-/// surrounding quotes. Every module that emits JSON by hand must route string
-/// values through this — origin keys, fault verb args and path fingerprints
-/// are not guaranteed quote-free.
+/// surrounding quotes. util::JsonWriter routes every key and string value
+/// through this — origin keys, fault verb args and path fingerprints are not
+/// guaranteed quote-free.
 [[nodiscard]] std::string json_escape(std::string_view s);
 /// json_escape with surrounding double quotes: `"…"`.
 [[nodiscard]] std::string json_quote(std::string_view s);

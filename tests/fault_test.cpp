@@ -418,10 +418,10 @@ TEST(ResilientProxy, RetriesOverScionAfterOriginReset) {
   EXPECT_EQ(result.response.status, 200);
   EXPECT_GE(result.scion_attempts, 2u);
 
-  const proxy::ProxyStats stats = fx.session->proxy().stats();
-  EXPECT_GE(stats.scion_failures, 1u);
-  EXPECT_GE(stats.retries, 1u);
-  EXPECT_EQ(stats.fallbacks, 0u);
+  const obs::MetricsRegistry& registry = fx.session->proxy().metrics();
+  EXPECT_GE(registry.counter_value("proxy.scion_failures"), 1u);
+  EXPECT_GE(registry.counter_value("proxy.retries"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.fallbacks"), 0u);
   // The failing attempt's path was quarantined and the fault counters are in
   // the shared registry.
   EXPECT_GE(fx.session->proxy().metrics().counter_value("selector.quarantines"), 1u);
@@ -460,7 +460,7 @@ TEST(ResilientProxy, LinkCutMidPageLoadFinishesOnAlternateScionPath) {
   for (const auto& resource : page.resources) {
     EXPECT_EQ(resource.transport, proxy::TransportUsed::kScion) << resource.url;
   }
-  EXPECT_EQ(fx.session->proxy().stats().fallbacks, 0u);
+  EXPECT_EQ(fx.session->proxy().metrics().counter_value("proxy.fallbacks"), 0u);
   EXPECT_GE(fx.session->proxy().metrics().counter_value("fault.link_down"), 1u);
 }
 
@@ -490,10 +490,10 @@ TEST(ResilientProxy, StrictModeDegradesTo503WithRetryAfter) {
   // Bounded: three attempts at ~300 ms each plus backoffs, nowhere near the
   // 15 s request deadline and certainly not a hang.
   EXPECT_LT(elapsed, seconds(5));
-  const proxy::ProxyStats stats = fx.session->proxy().stats();
-  EXPECT_EQ(stats.strict_unavailable, 1u);
-  EXPECT_EQ(stats.fallbacks, 0u);
-  EXPECT_GE(stats.scion_failures, 1u);
+  const obs::MetricsRegistry& registry = fx.session->proxy().metrics();
+  EXPECT_EQ(registry.counter_value("proxy.strict_unavailable"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.fallbacks"), 0u);
+  EXPECT_GE(registry.counter_value("proxy.scion_failures"), 1u);
 }
 
 TEST(ResilientProxy, ScionRetriesBackOffExponentially) {
@@ -540,7 +540,7 @@ TEST(ResilientProxy, SlowLorisIsBoundedByAttemptTimeout) {
   const proxy::ProxyResult result = fx.fetch("http://scion-fs.local/x");
   EXPECT_EQ(result.response.status, 502);
   EXPECT_LT(fx.world->sim().now() - t0, seconds(2));
-  EXPECT_EQ(fx.session->proxy().stats().attempt_timeouts, 2u);
+  EXPECT_EQ(fx.session->proxy().metrics().counter_value("proxy.attempt_timeouts"), 2u);
 }
 
 TEST(ResilientProxy, CircuitBreakerTripsShortCircuitsAndRecovers) {
@@ -564,7 +564,7 @@ TEST(ResilientProxy, CircuitBreakerTripsShortCircuitsAndRecovers) {
   EXPECT_EQ(shorted.response.status, 503);
   EXPECT_EQ(shorted.scion_attempts, 0u);
   EXPECT_LT(fx.world->sim().now() - t0, milliseconds(1));
-  EXPECT_EQ(fx.session->proxy().stats().breaker_short_circuits, 1u);
+  EXPECT_EQ(fx.session->proxy().metrics().counter_value("proxy.breaker_short_circuits"), 1u);
 
   // Fault reverted and open_ttl elapsed: the half-open probe goes through
   // and closes the breaker.
@@ -604,7 +604,7 @@ TEST(ResilientProxy, BreakerShortCircuitsToLegacyWhenAvailable) {
   EXPECT_EQ(third.transport, proxy::TransportUsed::kIp);
   EXPECT_EQ(third.scion_attempts, 0u);
   EXPECT_LT(fx.world->sim().now() - t0, milliseconds(50));
-  EXPECT_GE(fx.session->proxy().stats().breaker_short_circuits, 1u);
+  EXPECT_GE(fx.session->proxy().metrics().counter_value("proxy.breaker_short_circuits"), 1u);
 }
 
 TEST(ResilientProxy, HealthEndpointExposesResilienceState) {
@@ -660,7 +660,7 @@ TEST(ResilientProxy, RequestDeadlineCapsTotalBudget) {
   // Settled at the 100 ms deadline (plus scheduling epsilon), not at the 30 s
   // page timeout.
   EXPECT_LT(fx.world->sim().now() - t0, milliseconds(500));
-  EXPECT_EQ(fx.session->proxy().stats().timeouts, 1u);
+  EXPECT_EQ(fx.session->proxy().metrics().counter_value("proxy.timeouts"), 1u);
 }
 
 TEST(ResilientProxy, RetryRidesOutShortBackendReset) {
@@ -677,8 +677,8 @@ TEST(ResilientProxy, RetryRidesOutShortBackendReset) {
   const proxy::ProxyResult result = fx.fetch("http://www.far.example/x");
   EXPECT_EQ(result.response.status, 200);
   EXPECT_EQ(result.transport, proxy::TransportUsed::kScion);
-  EXPECT_GE(fx.session->proxy().stats().gateway_errors, 1u);
-  EXPECT_GE(fx.session->proxy().stats().retries, 1u);
+  EXPECT_GE(fx.session->proxy().metrics().counter_value("proxy.gateway_errors"), 1u);
+  EXPECT_GE(fx.session->proxy().metrics().counter_value("proxy.retries"), 1u);
 }
 
 TEST(ResilientProxy, ReverseProxiedOriginRecoversAfterReset) {
@@ -701,8 +701,8 @@ TEST(ResilientProxy, ReverseProxiedOriginRecoversAfterReset) {
   // hits the same truncating backend), so the fetch fails...
   const proxy::ProxyResult sick = fx.fetch("http://www.far.example/x");
   EXPECT_NE(sick.response.status, 200);
-  EXPECT_GE(fx.session->proxy().stats().gateway_errors, 1u);
-  EXPECT_GE(fx.session->proxy().stats().retries, 1u);
+  EXPECT_GE(fx.session->proxy().metrics().counter_value("proxy.gateway_errors"), 1u);
+  EXPECT_GE(fx.session->proxy().metrics().counter_value("proxy.retries"), 1u);
 
   // ...but after the fault lifts (and the breaker's open_ttl passes), the
   // half-open probe must find a freshly dialed backend connection, not the

@@ -366,8 +366,10 @@ TEST(Fleet, MethodGatesOnControlEndpoints) {
   EXPECT_EQ(metrics_post.response.status, 405);
   EXPECT_EQ(metrics_post.response.headers.get("Allow").value_or(""), "GET");
 
-  // Unknown paths are still 404, whatever the method.
+  // Unknown paths are still 404, whatever the method, in both control spaces.
   EXPECT_EQ(fix.fetch_with("/skip/nonexistent", false, deadline, "POST").response.status,
+            404);
+  EXPECT_EQ(fix.fetch_with("/skip/fleet/unknown", false, deadline, "POST").response.status,
             404);
 
   // The happy paths still work through the forwarder.

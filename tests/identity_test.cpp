@@ -366,7 +366,7 @@ TEST(IdentityIsolationTest, DisjointnessHoldsAcrossLinkCutMigration) {
   }
   EXPECT_NE(results["alice"].path_fingerprint, results["bob"].path_fingerprint);
   EXPECT_EQ(fx.counter("identity.path_collisions"), 0u);
-  EXPECT_GE(fx.proxy->stats().scmp_reroutes, 1u);
+  EXPECT_GE(fx.proxy->metrics().counter_value("proxy.scmp_reroutes"), 1u);
 }
 
 // Property suite: randomized interleavings of identities x origins across

@@ -184,7 +184,7 @@ struct ProxyFixture {
   std::unique_ptr<dns::Resolver> resolver;
   std::unique_ptr<SkipProxy> proxy;
 
-  explicit ProxyFixture(ProxyConfig config = {}) {
+  explicit ProxyFixture(ProxyConfig config = {}, const std::string& spare = "lte") {
     world = make_remote_world(multi_access_config());
     auto& topo = world->topology();
     resolver = std::make_unique<dns::Resolver>(world->sim(), world->zone(),
@@ -193,7 +193,7 @@ struct ProxyFixture {
                                         topo.scion_stack(world->client),
                                         topo.daemon_for(world->client), *resolver, config);
     world->injector().set_metrics(&proxy->metrics());
-    proxy->add_access("lte", topo.host(*world->client_lte),
+    proxy->add_access(spare, topo.host(*world->client_lte),
                       topo.scion_stack(*world->client_lte),
                       topo.daemon_for(*world->client_lte));
   }
@@ -335,10 +335,10 @@ TEST(MultiAccessProxy, MidLoadAccessFailureMigratesWithinDeadline) {
   EXPECT_TRUE(out.response.ok()) << out.response.status << " " << out.outcome;
   EXPECT_EQ(out.access, "lte");  // finished on the surviving access
   EXPECT_LE(fx.world->sim().now(), *options.deadline);
-  const ProxyStats stats = fx.proxy->stats();
-  EXPECT_GE(stats.access_down_events, 1u);
-  EXPECT_GE(stats.access_failovers, 1u);
-  EXPECT_EQ(stats.strict_unavailable, 0u);
+  const obs::MetricsRegistry& registry = fx.proxy->metrics();
+  EXPECT_GE(registry.counter_value("proxy.access_down_events"), 1u);
+  EXPECT_GE(registry.counter_value("proxy.access_failovers"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.strict_unavailable"), 0u);
 }
 
 TEST(MultiAccessProxy, AllAccessesDownFailsClosed) {
@@ -361,7 +361,7 @@ TEST(MultiAccessProxy, AllAccessesDownFailsClosed) {
   EXPECT_EQ(s.response.status, 503);
   EXPECT_TRUE(s.response.headers.get("Retry-After").has_value());
   EXPECT_NE(s.transport, TransportUsed::kIp);
-  EXPECT_GE(fx.proxy->stats().strict_unavailable, 1u);
+  EXPECT_GE(fx.proxy->metrics().counter_value("proxy.strict_unavailable"), 1u);
 
   const ProxyResult lax = fx.fetch("http://www.far.example/doc.html", "bulk");
   EXPECT_EQ(lax.response.status, 503);
@@ -373,6 +373,20 @@ TEST(MultiAccessProxy, AllAccessesDownFailsClosed) {
   const ProxyResult back = fx.fetch("http://www.far.example/doc.html", "latency-critical");
   EXPECT_TRUE(back.response.ok());
   EXPECT_EQ(back.access, "lte");
+}
+
+TEST(MultiAccessProxy, AccessEndpointEscapesNames) {
+  // add_access() takes any name; GET /skip/access must stay valid JSON.
+  ProxyFixture fx({}, "l\"t\\e");
+  fx.world->sim().run_for(seconds(1));  // let the probe loop measure
+  const ProxyResult result = fx.fetch("/skip/access");
+  ASSERT_EQ(result.response.status, 200);
+  const std::string body = to_string_view_copy(result.response.body);
+  EXPECT_NE(body.find(R"({"name":"l\"t\\e","health":"healthy","ewma_rtt_us":)"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find(R"({"access":"l\"t\\e","weight":0.2})"), std::string::npos) << body;
+  EXPECT_EQ(body.find("l\"t\\e"), std::string::npos) << body;  // never unescaped
 }
 
 TEST(MultiAccessProxy, RandomAccessFlapsNeverHangRequests) {

@@ -261,7 +261,7 @@ TEST(SkipProxyTest, FetchesScionOnlySiteOverScion) {
   EXPECT_TRUE(result.policy_compliant);
   EXPECT_EQ(to_string_view_copy(result.response.body), "scion content");
   EXPECT_EQ(result.response.headers.get("X-Skip-Transport"), "scion");
-  EXPECT_EQ(fx.proxy->stats().over_scion, 1u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.over_scion"), 1u);
 }
 
 TEST(SkipProxyTest, FallsBackToIpForLegacyOnlySite) {
@@ -271,7 +271,7 @@ TEST(SkipProxyTest, FallsBackToIpForLegacyOnlySite) {
   EXPECT_EQ(result.transport, TransportUsed::kIp);
   EXPECT_EQ(to_string_view_copy(result.response.body), "legacy content");
   EXPECT_EQ(result.response.headers.get("X-Skip-Transport"), "ip");
-  EXPECT_EQ(fx.proxy->stats().over_ip, 1u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.over_ip"), 1u);
 }
 
 TEST(SkipProxyTest, StrictModeBlocksLegacyOnlySite) {
@@ -280,7 +280,7 @@ TEST(SkipProxyTest, StrictModeBlocksLegacyOnlySite) {
   const ProxyResult result = fx.fetch("http://tcpip-fs.local/x", /*strict=*/true);
   EXPECT_EQ(result.transport, TransportUsed::kBlocked);
   EXPECT_EQ(result.response.status, 502);
-  EXPECT_EQ(fx.proxy->stats().blocked, 1u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.blocked"), 1u);
 }
 
 TEST(SkipProxyTest, StrictModeBlocksWhenNoCompliantPath) {
@@ -331,7 +331,7 @@ TEST(SkipProxyTest, UnresolvableHostErrors) {
   const ProxyResult result = fx.fetch("http://ghost.invalid/");
   EXPECT_EQ(result.transport, TransportUsed::kError);
   EXPECT_EQ(result.response.status, 502);
-  EXPECT_EQ(fx.proxy->stats().errors, 1u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.errors"), 1u);
 }
 
 TEST(SkipProxyTest, BadUrlRejected) {
@@ -373,8 +373,8 @@ TEST(SkipProxyTest, HttpsAbsoluteFormRejectedWith400) {
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("unsupported scheme"), std::string::npos) << *err;
   EXPECT_NE(err->find("https"), std::string::npos) << *err;
-  EXPECT_EQ(fx.proxy->stats().requests, 1u);
-  EXPECT_EQ(fx.proxy->stats().over_scion, 0u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.requests"), 1u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.over_scion"), 0u);
 }
 
 TEST(SkipProxyTest, ScionPoolStoresParsedHostAndPort) {
@@ -432,14 +432,14 @@ TEST(SkipProxyTest, FallbackAndTimeoutAccountingExact) {
   // Run well past the late SCION response; its arrival must not bump any
   // counter (the request already finished as a timeout).
   fx.world->sim().run_until(fx.world->sim().now() + seconds(10));
-  const ProxyStats stats = fx.proxy->stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.over_scion, 1u);
-  EXPECT_EQ(stats.over_ip, 1u);
-  EXPECT_EQ(stats.fallbacks, 1u);
-  EXPECT_EQ(stats.timeouts, 1u);
-  EXPECT_EQ(stats.errors, 1u);
-  EXPECT_EQ(stats.blocked, 0u);
+  const obs::MetricsRegistry& registry = fx.proxy->metrics();
+  EXPECT_EQ(registry.counter_value("proxy.requests"), 3u);
+  EXPECT_EQ(registry.counter_value("proxy.over_scion"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.over_ip"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.fallbacks"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.timeouts"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.errors"), 1u);
+  EXPECT_EQ(registry.counter_value("proxy.blocked"), 0u);
 }
 
 TEST(SkipProxyTest, RequestTraceBreaksDownPhases) {
@@ -478,7 +478,7 @@ TEST(SkipProxyTest, MetricsEndpointReturnsRegistryJson) {
   EXPECT_NE(body.find("\"proxy.requests\""), std::string::npos);
   EXPECT_NE(body.find("\"proxy.phase.fetch\""), std::string::npos);
   EXPECT_NE(body.find("\"transport.handshake\""), std::string::npos);
-  EXPECT_EQ(fx.proxy->stats().internal, 1u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.internal"), 1u);
 
   const ProxyResult unknown = fx.fetch("/skip/nope");
   EXPECT_EQ(unknown.response.status, 404);
@@ -588,7 +588,7 @@ TEST(SkipProxyTest, ConnectionReuseAcrossRequests) {
   fx.world->site("scion-fs.local")->add_text("/b", "2");
   fx.fetch("http://scion-fs.local/a");
   fx.fetch("http://scion-fs.local/b");
-  EXPECT_EQ(fx.proxy->stats().over_scion, 2u);
+  EXPECT_EQ(fx.proxy->metrics().counter_value("proxy.over_scion"), 2u);
   // One QUIC connection on the server side: the scion server host's stack
   // saw exactly one connection worth of handshakes (hard to observe
   // directly; at least verify both requests succeeded over SCION).

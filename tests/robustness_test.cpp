@@ -575,9 +575,9 @@ TEST(OverloadShedding, SurgeWithSheddingProtectsDocumentsAndNeverHangs) {
   EXPECT_EQ(on.docs.missing_retry_after, 0);
   EXPECT_EQ(on.subs.ok + on.subs.rejected + on.subs.timed_out + on.subs.other, 48);
 
-  const proxy::ProxyStats stats = on.skip->stats();
-  EXPECT_GT(stats.admitted, 0u);
-  EXPECT_GT(stats.rejected_capacity, 0u);
+  const obs::MetricsRegistry& registry = on.skip->metrics();
+  EXPECT_GT(registry.counter_value("overload.admitted"), 0u);
+  EXPECT_GT(registry.counter_value("overload.rejected_capacity"), 0u);
 
   // Ablation: the same surge with the overload layer disabled collapses —
   // FIFO queues starve the documents to 504 and total goodput drops.
@@ -608,9 +608,9 @@ TEST(OverloadAdmission, PerClientTokenBucketRateLimitsWithRetryAfter) {
   h.world->sim().run_until(h.world->sim().now() + seconds(2));
   EXPECT_EQ(h.docs.ok, 2);
 
-  const proxy::ProxyStats stats = h.skip->stats();
-  EXPECT_EQ(stats.rejected_rate, 3u);
-  EXPECT_EQ(stats.rejected_capacity, 0u);
+  const obs::MetricsRegistry& registry = h.skip->metrics();
+  EXPECT_EQ(registry.counter_value("overload.rejected_rate"), 3u);
+  EXPECT_EQ(registry.counter_value("overload.rejected_capacity"), 0u);
 }
 
 TEST(OverloadBrownout, SustainedPressureDisablesScionUpgradeUntilRecovery) {

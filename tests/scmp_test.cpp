@@ -205,7 +205,7 @@ TEST(ScmpTest, ProxyRevokesAndFailsOverNewRequests) {
   EXPECT_EQ(second.transport, proxy::TransportUsed::kScion);
   EXPECT_EQ(to_string_view_copy(second.response.body), "B");
   EXPECT_NE(second.path_fingerprint, first.path_fingerprint);
-  EXPECT_GT(proxy.stats().scmp_reports, 0u);
+  EXPECT_GT(proxy.metrics().counter_value("proxy.scmp_reports"), 0u);
   EXPECT_GE(proxy.selector().active_revocations(), 1u);
 
   // The revoked path is excluded from selection.
@@ -261,7 +261,7 @@ TEST(ScmpTest, MidTransferLinkFailureMigratesLiveConnection) {
   ASSERT_TRUE(done);
   EXPECT_EQ(out.transport, proxy::TransportUsed::kScion);
   EXPECT_EQ(out.response.body.size(), 400'000u);
-  EXPECT_GE(proxy.stats().scmp_reroutes, 1u);
+  EXPECT_GE(proxy.metrics().counter_value("proxy.scmp_reroutes"), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/bytes.hpp"
+#include "util/json.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -194,6 +195,42 @@ TEST(StringsTest, ParseHex) {
 TEST(StringsTest, Format) {
   EXPECT_EQ(strings::format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(strings::format("%05.1f", 2.25), "002.2");
+}
+
+// ----------------------------------------------------------------- json --
+
+TEST(JsonWriterTest, NestsAndPlacesCommas) {
+  util::JsonWriter w;
+  w.begin_object().field("n", std::uint64_t{7}).field("neg", -3).field("ok", true);
+  w.key("empty").begin_array().end_array().key("list").begin_array();
+  w.value("a").begin_object().end_object().fixed(1.5, 3).raw("null").end_array();
+  w.key("ms").fixed(2.0 / 3.0, 4).field("s", std::string("x")).end_object();
+  EXPECT_EQ(w.take(),
+            R"({"n":7,"neg":-3,"ok":true,"empty":[],"list":["a",{},1.500,null],)"
+            R"("ms":0.6667,"s":"x"})");
+}
+
+TEST(JsonWriterTest, EscapesKeysAndValues) {
+  util::JsonWriter w;
+  w.begin_object().field("k\"ey", "v\\al\n\x01").end_object();
+  EXPECT_EQ(w.take(), R"({"k\"ey":"v\\al\n\u0001"})");
+}
+
+TEST(JsonWriterTest, FixedMatchesPrintf) {
+  for (const double v : {0.0, -0.0, 0.0005, 1234.56789, -2.5e-7, 1e300}) {
+    for (const int places : {3, 4, 6}) {
+      util::JsonWriter w;
+      w.fixed(v, places);
+      EXPECT_EQ(w.take(), strings::format("%.*f", places, v)) << v << " " << places;
+    }
+  }
+}
+
+TEST(JsonWriterTest, TopLevelDocumentsTakeNoComma) {
+  util::JsonWriter w;
+  w.begin_object().field("a", 1).end_object().raw("\n");
+  w.begin_object().field("b", 2).end_object();
+  EXPECT_EQ(w.take(), "{\"a\":1}\n{\"b\":2}");
 }
 
 // ---------------------------------------------------------------- bytes --
