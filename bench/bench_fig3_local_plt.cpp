@@ -7,8 +7,9 @@
 //   - BGP/IP-only:    extension disabled, plain HTTP over TCP/IP
 //
 // Expected shape (paper): SCION-only and mixed pay an extension+proxy
-// overhead (~100 ms there) over BGP/IP-only; strict-SCION is fastest since
-// blocked resources cost nothing.
+// overhead (~100 ms there) over BGP/IP-only; strict-SCION is the fastest of
+// the extension-enabled arms since blocked resources cost nothing (BGP/IP-only,
+// with no proxy hop at all, is faster still).
 #include "bench_util.hpp"
 #include "core/scenarios.hpp"
 
@@ -113,7 +114,8 @@ int main() {
       registry);
 
   std::printf("\nPaper's qualitative result: SCION-only and mixed pay a proxying overhead over\n"
-              "BGP/IP-only; strict-SCION is fastest because blocked resources are never fetched.\n");
+              "BGP/IP-only; strict-SCION is the fastest of the extension-enabled arms because\n"
+              "blocked resources are never fetched.\n");
   bench::dump_chrome_trace(collector, "fig3-local-plt");
   return 0;
 }

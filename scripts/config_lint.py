@@ -21,8 +21,16 @@ assigning Foo's first two fields. Matching is by field name, so a field that
 shares its name with a field set on another struct passes.
 
 It prints the leaf-field counts before and after dropping the never-assigned
-fields, lists each never-assigned field as Struct::field (file:line), and
-exits 1 when that list is not empty, 0 otherwise. Run from anywhere:
+fields and lists each never-assigned field as Struct::field (file:line).
+
+It also fails on a mutable `static` variable declared inside a function or a
+class in src/ (an indented `static` declaration that is neither `const` nor
+`constexpr` and reaches `=`, `;` or `{` before any `(`, so static member
+functions pass). Such a variable is process-wide state: a seeded world's
+bytes would depend on what the process built before it. Ids unique in a
+world come from `sim::Simulator::next_id`.
+
+It exits 1 when either list is not empty, 0 otherwise. Run from anywhere:
 
   python3 scripts/config_lint.py
 """
@@ -42,6 +50,7 @@ STRUCT_RE = re.compile(r"^struct\s+(\w+Config)\s*\{")
 # member function, not a field.
 FIELD_RE = re.compile(r"^\s*(?P<type>[\w:<>(),\s\*&]+?)\s+(?P<name>\w+)\s*(=|;|\{)")
 NOT_FIELD_NAMES = {"const", "override", "noexcept", "final"}
+MUTABLE_STATIC_RE = re.compile(r"^\s+static\s+(?!const\b|constexpr\b)[^(=;{]*[=;{]")
 
 
 def source_files():
@@ -158,6 +167,17 @@ def main():
     if unset:
         print("config lint: FAIL — make each field above a named constexpr "
               "next to its use, or set it from a bench, example or test")
+        return 1
+    statics = [(path.relative_to(ROOT), n, line.strip())
+               for path, lines in texts.items()
+               if path.suffix != ".py" and path.is_relative_to(ROOT / "src")
+               for n, line in enumerate(lines, 1)
+               if MUTABLE_STATIC_RE.match(strip_comment(line))]
+    for rel, n, line in statics:
+        print(f"  mutable static: {line}  ({rel}:{n})")
+    if statics:
+        print("config lint: FAIL — draw ids from sim::Simulator::next_id or keep the "
+              "state in an object of the world")
         return 1
     print("config lint: ok")
     return 0

@@ -49,24 +49,30 @@ std::string prom_seconds(Duration d) {
 
 }  // namespace
 
+Histogram::Histogram()
+    : bounds_(default_latency_buckets()), counts_(bounds_.size() + 1, 0) {}
+
 Histogram::Histogram(std::vector<Duration> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
   counts_.assign(bounds_.size() + 1, 0);
 }
 
-std::vector<Duration> Histogram::default_latency_buckets() {
-  std::vector<Duration> bounds;
-  // Nine linear sub-buckets per decade, 10 us .. 9 s. Every default
-  // histogram shares this layout, which is what makes merge() a plain
-  // count-wise sum.
-  for (const std::int64_t decade :
-       {10'000LL, 100'000LL, 1'000'000LL, 10'000'000LL, 100'000'000LL, 1'000'000'000LL}) {
-    for (std::int64_t k = 1; k <= 9; ++k) bounds.push_back(Duration{decade * k});
-  }
-  // The top decade is cut at the 60 s request-timeout ceiling.
-  for (std::int64_t k = 1; k <= 6; ++k) bounds.push_back(Duration{10'000'000'000LL * k});
-  return bounds;
+const std::vector<Duration>& Histogram::default_latency_buckets() {
+  static const std::vector<Duration> kBounds = [] {
+    std::vector<Duration> bounds;
+    // Nine linear sub-buckets per decade, 10 us .. 9 s. Every default
+    // histogram shares this layout, which is what makes merge() a plain
+    // count-wise sum.
+    for (const std::int64_t decade :
+         {10'000LL, 100'000LL, 1'000'000LL, 10'000'000LL, 100'000'000LL, 1'000'000'000LL}) {
+      for (std::int64_t k = 1; k <= 9; ++k) bounds.push_back(Duration{decade * k});
+    }
+    // The top decade is cut at the 60 s request-timeout ceiling.
+    for (std::int64_t k = 1; k <= 6; ++k) bounds.push_back(Duration{10'000'000'000LL * k});
+    return bounds;
+  }();
+  return kBounds;
 }
 
 void Histogram::record(Duration value) {

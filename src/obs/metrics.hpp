@@ -92,7 +92,8 @@ class Histogram {
   /// Bounded exemplar slots per histogram (fixed array: no allocation).
   static constexpr std::size_t kExemplarSlots = 4;
 
-  Histogram() : Histogram(default_latency_buckets()) {}
+  /// The default layout (copied, not rebuilt).
+  Histogram();
   explicit Histogram(std::vector<Duration> bounds);
 
   void record(Duration value);
@@ -126,8 +127,8 @@ class Histogram {
   /// 10 us through 10 s (10,20,...,90 us; 100,200,...,900 us; ...), then
   /// 10..60 s. Within a decade every bucket is one decade-width wide, which
   /// is the merged-percentile error bound the property tests assert. The
-  /// layout is universal so any two default histograms merge.
-  [[nodiscard]] static std::vector<Duration> default_latency_buckets();
+  /// layout is universal so any two default histograms merge. Built once.
+  [[nodiscard]] static const std::vector<Duration>& default_latency_buckets();
 
  private:
   void offer_exemplar(Duration value, std::uint64_t trace_id, TimePoint at);

@@ -39,12 +39,9 @@ constexpr Duration kStrictRetryAfter = seconds(1);
 /// A fleet of replicas shares kRetryJitterSeed, and identically-seeded Rngs
 /// would make every replica compute the *same* backoff jitter — after a
 /// shared fault the whole fleet retries in synchronized waves, defeating the
-/// jitter. Salt the seed with a process-wide instance number (same device as
-/// make_trace()'s trace-id salt; the sim is single-threaded, so this stays
-/// deterministic).
-std::uint64_t salted_jitter_seed() {
-  static std::uint64_t instance_seq = 0;
-  return kRetryJitterSeed ^ (0x9e3779b97f4a7c15ULL * ++instance_seq);
+/// jitter. Salt the seed with the proxy's instance number in its world.
+std::uint64_t salted_jitter_seed(sim::Simulator& sim) {
+  return kRetryJitterSeed ^ (0x9e3779b97f4a7c15ULL * sim.next_id(sim::IdSequence::kProxy));
 }
 
 }  // namespace
@@ -133,7 +130,7 @@ SkipProxy::SkipProxy(sim::Simulator& sim, net::Host& host, scion::ScionStack& st
                                     .open_ttl = config_.breaker_open_ttl},
                metrics_),
       identities_(sim, *metrics_),
-      retry_rng_(salted_jitter_seed()),
+      retry_rng_(salted_jitter_seed(sim)),
       overload_(sim, *metrics_, config_.overload),
       legacy_limiter_("legacy", config_.legacy_aimd, *metrics_),
       scion_limiter_("scion", config_.scion_aimd, *metrics_),
@@ -284,10 +281,8 @@ void SkipProxy::on_access_health(const std::string& name, net::AccessHealth /*pr
 obs::TracePtr SkipProxy::make_trace() {
   // Trace ids must stay unique when several proxy instances share one
   // TraceCollector (the figure benches build a fresh session per trial):
-  // salt the per-proxy sequence with a process-wide instance number. The
-  // sim is single-threaded, so this stays deterministic run to run.
-  static std::uint64_t instance_seq = 0;
-  if (trace_id_base_ == 0) trace_id_base_ = ++instance_seq << 32;
+  // salt the per-proxy sequence with a base unique in the world.
+  if (trace_id_base_ == 0) trace_id_base_ = sim_.next_id(sim::IdSequence::kTraceBase) << 32;
   return std::make_shared<obs::RequestTrace>(sim_, trace_id_base_ | next_trace_id_++);
 }
 

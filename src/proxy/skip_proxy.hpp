@@ -427,7 +427,7 @@ class SkipProxy {
   std::uint64_t access_health_subscription_ = 0;
   std::unordered_map<RequestState*, std::pair<ScionContextPtr, RequestPtr>> inflight_scion_;
   std::uint64_t scmp_subscription_ = 0;
-  std::uint64_t trace_id_base_ = 0;  ///< Process-unique salt, set lazily.
+  std::uint64_t trace_id_base_ = 0;  ///< Unique in the world, set lazily.
   std::uint64_t next_trace_id_ = 1;
 };
 

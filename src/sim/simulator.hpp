@@ -12,6 +12,7 @@
 // removes the entry at once; a stale id fails the generation check.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -26,6 +27,14 @@ namespace pan::sim {
 /// never issued.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+/// Sequences of ids that must be unique among the objects of one simulated
+/// world; see Simulator::next_id.
+enum class IdSequence : std::uint8_t {
+  kConnection,    ///< transport connection ids
+  kProxy,         ///< SKIP proxy instances (retry-jitter salt)
+  kTraceBase,     ///< SKIP proxies' trace-id bases
+};
 
 class Simulator {
  public:
@@ -67,6 +76,13 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
+  /// The next id of `sequence` in this world: 1, 2, 3, ... Ids come from the
+  /// world, not from process-wide counters, so a seeded world runs the same
+  /// however many worlds the process built before it.
+  [[nodiscard]] std::uint64_t next_id(IdSequence sequence) {
+    return ++next_ids_[static_cast<std::size_t>(sequence)];
+  }
+
  private:
   struct Entry {
     TimePoint when;
@@ -101,6 +117,7 @@ class Simulator {
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::array<std::uint64_t, static_cast<std::size_t>(IdSequence::kTraceBase) + 1> next_ids_{};
 };
 
 }  // namespace pan::sim

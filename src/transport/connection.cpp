@@ -22,6 +22,12 @@ constexpr Duration kMaxAckDelay = milliseconds(25);
 /// Packet-threshold loss detection: a packet this far below the largest
 /// acknowledged is declared lost.
 constexpr std::uint64_t kReorderThreshold = 3;
+/// In-flight capacity, in records, above which an ACK that empties the
+/// flight frees the rings. A flight that large was a bulk transfer: growing
+/// back costs a few allocations against as many packets, while a connection
+/// that then idles (a server whose client is gone waits out its 30 s idle
+/// timeout) would hold the peak for nothing. Smaller rings stay for reuse.
+constexpr std::size_t kKeptRingCapacity = 64;
 
 /// The first run starting after `k` in a sorted list of [first, last] runs.
 auto run_after(auto& runs, std::uint32_t k) {
@@ -192,8 +198,7 @@ void Connection::send_hello(std::uint8_t round) {
   SentPacket record;
   record.hello = true;
   record.hello_round = round;
-  record.ack_eliciting = true;
-  send_packet(std::move(record));
+  send_packet(record);
 }
 
 void Connection::establish() {
@@ -304,8 +309,7 @@ void Connection::close(const std::string& reason) {
   ack_timer_.cancel();
   pto_timer_.cancel();
   idle_timer_.cancel();
-  in_flight_.clear();
-  bytes_in_flight_ = 0;
+  release_in_flight();
   for (auto& [id, stream] : streams_) stream->mark_broken();
   if (on_closed_) {
     // Move out so a re-entrant close cannot fire it twice.
@@ -414,43 +418,39 @@ void Connection::process_frame(const Frame& frame, bool* ack_eliciting) {
 void Connection::process_ack(const AckFrame& ack) {
   bool newly_acked_largest = false;
   TimePoint largest_sent_at;
-  std::vector<std::uint64_t> lost;
+  lost_.clear();
 
   // A packet above every acked range is neither acked nor lost (a loss needs
   // a larger pn acked), so the walk stops there: an ACK costs what it acks,
   // not the whole flight.
   std::uint64_t top = 0;
   for (const AckRange& range : ack.ranges) top = std::max(top, range.last);
-  for (auto it = in_flight_.begin(); it != in_flight_.end() && it->first <= top;) {
-    const std::uint64_t pn = it->first;
-    if (ack.contains(pn)) {
+  for (std::size_t i = 0; i < in_flight_.size() && in_flight_[i].pn <= top; ++i) {
+    SentPacket& packet = in_flight_[i];
+    if (!packet.live) continue;
+    if (ack.contains(packet.pn)) {
       ++stats_.packets_acked;
-      bytes_in_flight_ -= std::min(bytes_in_flight_, it->second.size);
-      if (pn == ack.largest()) {
+      if (packet.pn == ack.largest()) {
         newly_acked_largest = true;
-        largest_sent_at = it->second.sent_at;
+        largest_sent_at = packet.sent_at;
       }
       // Congestion control growth.
       if (cwnd_ < ssthresh_) {
-        cwnd_ += it->second.size;  // slow start
+        cwnd_ += packet.size;  // slow start
       } else {
-        cwnd_ += std::max<std::size_t>(1, mss() * it->second.size / cwnd_);
+        cwnd_ += std::max<std::size_t>(1, mss() * packet.size / cwnd_);
       }
-      if (it->second.hello && role_ == Role::kClient) {
-        // Handshake progress is driven by HELLO_REPLY frames, nothing to do.
-      }
-      for (const SentChunkRef& ref : it->second.chunks) {
+      for (std::uint32_t c = 0; c < packet.chunk_count; ++c) {
+        SentChunkRef& ref = chunk_ref(packet, c);
         if (Stream* target = stream(ref.stream_id)) {
           --target->unacked_chunks_;
           note_retirable(*target);
         }
+        ref.data = {};
       }
-      it = in_flight_.erase(it);
-    } else if (pn + kReorderThreshold <= ack.largest()) {
-      lost.push_back(pn);
-      ++it;
-    } else {
-      ++it;
+      bury(packet);
+    } else if (packet.pn + kReorderThreshold <= ack.largest()) {
+      lost_.push_back(i);
     }
   }
 
@@ -468,19 +468,32 @@ void Connection::process_ack(const AckFrame& ack) {
     pto_count_ = 0;
   }
 
-  for (const std::uint64_t pn : lost) {
-    auto it = in_flight_.find(pn);
-    if (it == in_flight_.end()) continue;
-    SentPacket packet = std::move(it->second);
-    in_flight_.erase(it);
-    declare_lost(pn, std::move(packet));
+  // Ascending pn. A re-sent HELLO only appends, so the indices hold.
+  for (const std::size_t i : lost_) declare_lost(i);
+
+  while (!in_flight_.empty() && !in_flight_[0].live) {
+    const std::uint32_t chunks = in_flight_[0].chunk_count;
+    for (std::uint32_t c = 0; c < chunks; ++c) sent_chunks_.pop_front();
+    chunks_popped_ += chunks;
+    in_flight_.pop_front();
   }
 
-  if (in_flight_.empty()) {
+  if (live_in_flight_ == 0) {
+    if (in_flight_.empty() && in_flight_.capacity() > kKeptRingCapacity) release_in_flight();
     pto_timer_.cancel();
   } else {
     arm_pto();
   }
+}
+
+Connection::SentChunkRef& Connection::chunk_ref(const SentPacket& packet, std::uint32_t i) {
+  return sent_chunks_[static_cast<std::size_t>(packet.first_chunk - chunks_popped_) + i];
+}
+
+void Connection::bury(SentPacket& packet) {
+  packet.live = false;
+  --live_in_flight_;
+  bytes_in_flight_ -= std::min(bytes_in_flight_, packet.size);
 }
 
 void Connection::on_loss_event(std::uint64_t pn) {
@@ -490,16 +503,21 @@ void Connection::on_loss_event(std::uint64_t pn) {
   cwnd_ = ssthresh_;
 }
 
-void Connection::declare_lost(std::uint64_t pn, SentPacket&& packet) {
+void Connection::declare_lost(std::size_t index) {
+  SentPacket& packet = in_flight_[index];
   ++stats_.packets_lost;
-  bytes_in_flight_ -= std::min(bytes_in_flight_, packet.size);
-  on_loss_event(pn);
+  bury(packet);
+  on_loss_event(packet.pn);
   if (packet.hello) {
     if (state_ == State::kConnecting) send_hello(packet.hello_round);
     return;
   }
   // Re-queue the chunks at the front of their streams.
-  for (const SentChunkRef& ref : packet.chunks) requeue(ref);
+  for (std::uint32_t c = 0; c < packet.chunk_count; ++c) {
+    SentChunkRef& ref = chunk_ref(packet, c);
+    requeue(ref);
+    ref.data = {};
+  }
 }
 
 void Connection::retransmit_all_outstanding() {
@@ -508,29 +526,37 @@ void Connection::retransmit_all_outstanding() {
   // ahead of fresh data) and clear the in-flight accounting. Re-queueing
   // only part of it while the rest still counted against a collapsed cwnd
   // would deadlock the sender (nothing fits in the window).
-  std::map<std::uint64_t, SentPacket> lost;
-  lost.swap(in_flight_);
-  bytes_in_flight_ = 0;
-  stats_.packets_lost += lost.size();
-
+  stats_.packets_lost += live_in_flight_;
   bool resend_hello = false;
   std::uint8_t hello_round = 0;
-  for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
-    SentPacket& packet = it->second;
+  for (std::size_t i = in_flight_.size(); i-- > 0;) {
+    const SentPacket& packet = in_flight_[i];
+    if (!packet.live) continue;
     if (packet.hello) {
       resend_hello = true;
       hello_round = packet.hello_round;
       continue;
     }
-    for (auto ref = packet.chunks.rbegin(); ref != packet.chunks.rend(); ++ref) requeue(*ref);
+    for (std::uint32_t c = packet.chunk_count; c-- > 0;) requeue(chunk_ref(packet, c));
   }
+  // A connection whose peer is gone probes until its idle timeout: it keeps
+  // no flight-sized storage meanwhile.
+  release_in_flight();
   if (resend_hello && state_ == State::kConnecting) send_hello(hello_round);
   pump();
-  if (!in_flight_.empty()) arm_pto();
+  if (live_in_flight_ > 0) arm_pto();
+}
+
+void Connection::release_in_flight() {
+  in_flight_.release();
+  sent_chunks_.release();
+  chunks_popped_ = 0;
+  live_in_flight_ = 0;
+  bytes_in_flight_ = 0;
 }
 
 void Connection::on_pto() {
-  if (state_ == State::kClosed || in_flight_.empty()) return;
+  if (state_ == State::kClosed || live_in_flight_ == 0) return;
   ++stats_.pto_fired;
   ++pto_count_;
   // RTO semantics: collapse the window, then go-back-n.
@@ -563,9 +589,7 @@ void Connection::on_keep_alive() {
       ack_eliciting_since_ack_ = 0;
       ack_timer_.cancel();
     }
-    SentPacket record;
-    record.ack_eliciting = true;
-    send_packet(std::move(record));
+    send_packet(SentPacket{});
   }
   keep_alive_timer_.arm(config_.keep_alive);
 }
@@ -660,16 +684,15 @@ net::PacketView Connection::serialize_tx() {
 }
 
 void Connection::send_packet(SentPacket record) {
-  const std::uint64_t pn = next_pn_;
+  record.pn = next_pn_;
   net::PacketView wire = serialize_tx();
   record.sent_at = sim_.now();
   record.size = wire.size();
   stats_.bytes_sent += wire.size();
-  if (record.ack_eliciting) {
-    bytes_in_flight_ += record.size;
-    in_flight_.emplace_hint(in_flight_.end(), pn, std::move(record));  // pn is the largest
-    arm_pto();
-  }
+  bytes_in_flight_ += record.size;
+  ++live_in_flight_;
+  in_flight_.push_back(record);  // pn is the largest
+  arm_pto();
   if (conduit_.send) conduit_.send(std::move(wire));
 }
 
@@ -684,6 +707,7 @@ void Connection::pump() {
 
     TransportPacket& packet = begin_packet(PacketType::kData);
     SentPacket record;
+    record.first_chunk = chunks_popped_ + sent_chunks_.size();
 
     bool any = false;
     while (budget > stream_frame_overhead() && !ready_.empty()) {
@@ -694,7 +718,7 @@ void Connection::pump() {
       Stream* target = *at;
       rr_cursor_ = target->open_order_ + 1;
 
-      Stream::Chunk& chunk = target->pending_.front();
+      Stream::Chunk& chunk = target->pending_[0];
       const std::size_t room = budget - stream_frame_overhead();
       StreamFrame frame;
       frame.stream_id = target->id_;
@@ -715,8 +739,8 @@ void Connection::pump() {
       }
       budget -= stream_frame_overhead() + frame.data.size();
       ++target->unacked_chunks_;
-      record.chunks.push_back(
-          SentChunkRef{frame.stream_id, frame.offset, frame.data, frame.fin});
+      sent_chunks_.push_back(SentChunkRef{frame.stream_id, frame.offset, frame.data, frame.fin});
+      ++record.chunk_count;
       packet.frames.emplace_back(std::move(frame));
       any = true;
     }
@@ -728,8 +752,7 @@ void Connection::pump() {
       ack_eliciting_since_ack_ = 0;
       ack_timer_.cancel();
     }
-    record.ack_eliciting = true;
-    send_packet(std::move(record));
+    send_packet(record);
   }
 }
 

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,6 +30,7 @@
 #include "sim/timer.hpp"
 #include "transport/bytestream.hpp"
 #include "transport/frames.hpp"
+#include "util/ring.hpp"
 
 namespace pan::transport {
 
@@ -121,7 +121,7 @@ class Stream final : public Bytestream {
   std::uint64_t open_order_;
 
   // Send side.
-  std::deque<Chunk> pending_;  // not yet (re)transmitted
+  util::Ring<Chunk> pending_;  // not yet (re)transmitted
   std::uint64_t next_send_offset_ = 0;
   std::size_t unacked_chunks_ = 0;  // in-flight SentChunkRefs naming this stream
   bool fin_queued_ = false;
@@ -233,13 +233,19 @@ class Connection {
     net::PacketView data;  // shares the frame's slice, for retransmission
     bool fin = false;
   };
+  /// An ack-eliciting packet sent and not yet acked or declared lost, or
+  /// (once `live` is false) a tombstone awaiting its turn at the front.
   struct SentPacket {
+    std::uint64_t pn = 0;
     TimePoint sent_at;
     std::size_t size = 0;
-    std::vector<SentChunkRef> chunks;
+    /// The packet's refs in sent_chunks_: absolute index (see
+    /// chunks_popped_) of the first, and how many.
+    std::uint64_t first_chunk = 0;
+    std::uint32_t chunk_count = 0;
+    bool live = true;
     bool hello = false;
     std::uint8_t hello_round = 0;
-    bool ack_eliciting = false;
   };
 
   void pump();
@@ -263,7 +269,12 @@ class Connection {
   void on_keep_alive();
   void process_frame(const Frame& frame, bool* ack_eliciting);
   void process_ack(const AckFrame& ack);
-  void declare_lost(std::uint64_t pn, SentPacket&& packet);
+  /// The i-th chunk ref of in-flight record `packet`.
+  SentChunkRef& chunk_ref(const SentPacket& packet, std::uint32_t i);
+  /// Turns a live in-flight record into a tombstone.
+  void bury(SentPacket& packet);
+  /// Declares in_flight_[index] lost and re-queues its chunks.
+  void declare_lost(std::size_t index);
   void on_pto();
   /// Go-back-n: re-queues every outstanding chunk and pumps.
   void retransmit_all_outstanding();
@@ -274,8 +285,11 @@ class Connection {
   TransportPacket& begin_packet(PacketType type);
   /// Serializes tx_ with the next packet number, then clears its frames.
   [[nodiscard]] net::PacketView serialize_tx();
-  /// Sends tx_, tracking it as in flight when `record` is ack-eliciting.
+  /// Sends tx_ and tracks it as in flight (every caller's packet is
+  /// ack-eliciting); `record` carries its hello and chunk-ref fields.
   void send_packet(SentPacket record);
+  /// Forgets every in-flight record and frees both rings' storage.
+  void release_in_flight();
   [[nodiscard]] Duration pto_interval() const;
   void arm_pto();
   [[nodiscard]] std::size_t bytes_in_flight() const { return bytes_in_flight_; }
@@ -316,8 +330,21 @@ class Connection {
 
   // Packet number spaces (single space for simplicity).
   std::uint64_t next_pn_ = 1;
-  std::map<std::uint64_t, SentPacket> in_flight_;
+  // In-flight records in ascending pn order. Acked and lost ones become
+  // tombstones, popped once they reach the front; live_in_flight_ counts
+  // the others. A record's chunk refs sit in sent_chunks_, in send order,
+  // so they leave its front with their record; chunks_popped_ is how many
+  // have left it, which turns an absolute ref index into a ring index.
+  // Both rings keep their storage between packets and give it back at
+  // close(), at go-back-n, and when an ACK empties a flight that had grown
+  // in_flight_ past kKeptRingCapacity records (connection.cpp).
+  util::Ring<SentPacket> in_flight_;
+  util::Ring<SentChunkRef> sent_chunks_;
+  std::uint64_t chunks_popped_ = 0;
+  std::size_t live_in_flight_ = 0;
   std::size_t bytes_in_flight_ = 0;
+  // Indices into in_flight_ of the packets one ACK declares lost (reused).
+  std::vector<std::size_t> lost_;
 
   // ACK state (receiving side).
   std::vector<AckRange> recv_ranges_;  // descending, merged

@@ -27,7 +27,8 @@ ScionTransportClient::ScionTransportClient(scion::ScionStack& stack,
     conn_->on_datagram(payload);
   });
   conn_ = std::make_unique<Connection>(stack.host().simulator(), make_conduit(),
-                                       Connection::Role::kClient, next_conn_id(), config);
+                                       Connection::Role::kClient,
+                                       next_conn_id(stack.host().simulator()), config);
 }
 
 Conduit ScionTransportClient::make_conduit() {

@@ -8,9 +8,8 @@ namespace {
 constexpr std::string_view kLog = "udp-host";
 }
 
-std::uint64_t next_conn_id() {
-  static std::uint64_t counter = 0x1000;
-  return ++counter;
+std::uint64_t next_conn_id(sim::Simulator& sim) {
+  return 0x1000 + sim.next_id(sim::IdSequence::kConnection);
 }
 
 UdpTransportClient::UdpTransportClient(net::Host& host, net::Endpoint server,
@@ -24,7 +23,8 @@ UdpTransportClient::UdpTransportClient(net::Host& host, net::Endpoint server,
     socket->send_to(server, std::move(datagram));
   };
   conn_ = std::make_unique<Connection>(host.simulator(), std::move(conduit),
-                                       Connection::Role::kClient, next_conn_id(), config);
+                                       Connection::Role::kClient, next_conn_id(host.simulator()),
+                                       config);
 }
 
 UdpTransportServer::UdpTransportServer(net::Host& host, std::uint16_t port,

@@ -10,8 +10,8 @@
 
 namespace pan::transport {
 
-/// Process-wide connection id source (single-threaded simulator).
-[[nodiscard]] std::uint64_t next_conn_id();
+/// A connection id unique in `sim`'s world.
+[[nodiscard]] std::uint64_t next_conn_id(sim::Simulator& sim);
 
 class UdpTransportClient {
  public:

@@ -5,9 +5,10 @@
 // body's SHA-256 must equal its recorded digest, and a mismatch prints the
 // body: change a digest only together with a deliberate change of its body.
 //
-// This is the only test in its binary on purpose: trace ids and retry-jitter
-// seeds are salted with process-wide proxy instance counters, so any other
-// test in the same process would shift the bodies.
+// Trace ids, retry-jitter seeds and connection ids are drawn from the world
+// (sim::Simulator::next_id), so the bodies must not depend on what the
+// process ran before: ctest also runs this binary three times over,
+// shuffled (control_bodies_repeat).
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "core/scenarios.hpp"
+#include "crypto/sha256.hpp"
 #include "http/client.hpp"
 #include "http/file_server.hpp"  // generate_blob for payload integrity
 #include "net/host.hpp"
@@ -14,6 +16,7 @@
 #include "support/alloc_probe.hpp"
 #include "transport/scion_host.hpp"
 #include "transport/udp_host.hpp"
+#include "util/rng.hpp"
 
 namespace pan::transport {
 namespace {
@@ -710,8 +713,150 @@ TEST(ConnectionTest, GoBackNResendsWriteIntact) {
   EXPECT_GE(wire.client->stats().packets_lost, 10u);  // the whole first flight
 }
 
+// ------------------------------------------------ seeded lossy wire pair --
+
+/// A client and a server connection joined by a seeded lossy wire: a datagram
+/// is lost with probability 1%, and the rest arrive after `delay` plus up to
+/// 3 ms of uniform jitter, so they overtake one another. Client datagrams sent
+/// inside [blackout_from, blackout_until) are all lost. Each side's datagrams
+/// are hashed in send order, lost ones included.
+struct LossyPair {
+  sim::Simulator sim;
+  Rng rng;
+  Duration delay = milliseconds(10);
+  TimePoint blackout_from;
+  TimePoint blackout_until;
+  std::array<crypto::Sha256, 2> wire_hash;  // [0] client, [1] server
+  std::unique_ptr<Connection> client;
+  std::unique_ptr<Connection> server;
+
+  explicit LossyPair(std::uint64_t seed)
+      : rng(seed),
+        client(std::make_unique<Connection>(sim, conduit(true), Connection::Role::kClient, 1,
+                                            quic_config())),
+        server(std::make_unique<Connection>(sim, conduit(false), Connection::Role::kServer, 1,
+                                            quic_config())) {}
+
+  Conduit conduit(bool from_client, std::size_t max_payload = 1200) {
+    Conduit conduit;
+    conduit.max_payload = max_payload;
+    conduit.send = [this, from_client](net::PacketView wire) {
+      wire_hash[from_client ? 0 : 1].update(wire.span());
+      const bool dark =
+          from_client && sim.now() >= blackout_from && sim.now() < blackout_until;
+      if (rng.chance(0.01) || dark) return;
+      const Duration jitter = nanoseconds(static_cast<std::int64_t>(rng.next_below(3'000'000)));
+      sim.schedule_after(delay + jitter, [this, from_client, wire = std::move(wire)] {
+        (from_client ? server : client)->on_datagram(wire);
+      });
+    };
+    return conduit;
+  }
+};
+
+std::string describe(const Connection::Stats& s) {
+  return std::to_string(s.packets_sent) + "/" + std::to_string(s.packets_received) + "/" +
+         std::to_string(s.packets_lost) + "/" + std::to_string(s.packets_acked) + "/" +
+         std::to_string(s.pto_fired) + "/" + std::to_string(s.bytes_sent) + "/" +
+         std::to_string(s.bytes_received);
+}
+
+TEST(ConnectionTest, LossyTransferMatchesGolden) {
+  // Eight concurrent request streams of 30 kB to 3 MB, each answered with a
+  // third of its size, over a wire that drops and reorders. A 400 ms client
+  // blackout forces a PTO go-back-n, and a client path migration (longer
+  // delay, smaller datagrams) re-queues the whole flight once more. Every
+  // datagram either end sent and the final statistics are pinned; the
+  // expected values were recorded from the map-based in-flight bookkeeping
+  // the per-connection rings replaced. Stats read
+  // sent/received/lost/acked/pto/bytes sent/bytes received.
+  struct Golden {
+    std::uint64_t seed;
+    const char* client_wire;
+    const char* server_wire;
+    const char* client_stats;
+    const char* server_stats;
+  };
+  const Golden goldens[] = {
+      {1, "694135bf5715d8935a64389350e130e143eed775798734c9c2f087ad6b72cd34",
+       "7118c36fbad93c773b746eb25117b9818022bd72b68053371a40b3428b5540c9",
+       "6357/4388/337/5226/4/4920305/2203959", "4434/6282/133/1561/0/2226715/4862091"},
+      {2, "3d14cd597db043ca796cb772160c50b21779941746ed610fd5584d9327585b33",
+       "62b480241ae8d38d1ae40eddc931a2cd505f2288b9bad21b75a724a2dac574fb",
+       "6360/4401/354/5213/3/4932873/2214345", "4442/6278/129/1558/0/2233939/4868967"},
+      {3, "822aecdc9737dfa6b654ea0dc714c395f37bbae76399858d33929e726c88776d",
+       "99f6852e6e136162e4ed9026366b1c20c2cb5e74d17667204077bf7924e4bc36",
+       "6361/4394/341/5232/4/4925311/2209269", "4441/6297/116/1560/1/2234775/4872703"},
+      {4, "6acf704f042a268110896461159f2267884597f03b404fe7aa4b8e036390b6ed",
+       "157e58cc32a4c113205b83e98d9fe16e13e920a7ff8d6379c8e03c237aabaf98",
+       "6385/4411/364/5232/4/4947707/2250391", "4458/6296/119/1556/0/2275881/4880025"},
+  };
+  const std::size_t sizes[] = {30'000,  3'000'000, 120'000, 45'000,
+                               700'000, 64'000,    250'000, 31'000};
+  constexpr std::size_t kStreams = std::size(sizes);
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE("seed " + std::to_string(golden.seed));
+    LossyPair wire(golden.seed);
+    wire.blackout_from = TimePoint{milliseconds(300).nanos()};
+    wire.blackout_until = TimePoint{milliseconds(700).nanos()};
+    std::array<Bytes, kStreams> requests;
+    std::array<Bytes, kStreams> responses;
+    std::array<std::size_t, kStreams> request_got{};
+    std::array<std::size_t, kStreams> response_got{};
+    std::size_t intact_requests = 0;
+    std::size_t intact_responses = 0;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      requests[i] = http::generate_blob(sizes[i], i + 1);
+      responses[i] = http::generate_blob(sizes[i] / 3, i + 101);
+    }
+    // Appends `data` to the running comparison against `expected`; true once
+    // the whole of it arrived intact with the FIN.
+    const auto receive = [](const Bytes& expected, std::size_t& got,
+                            std::span<const std::uint8_t> data, bool fin) {
+      const bool match = got + data.size() <= expected.size() &&
+                         std::equal(data.begin(), data.end(), expected.begin() + got);
+      got = match ? got + data.size() : SIZE_MAX;
+      return fin && got == expected.size();
+    };
+    wire.server->set_on_stream([&](Stream& stream) {
+      const std::size_t i = stream.id() / 2;
+      stream.set_on_data([&, i, s = &stream](std::span<const std::uint8_t> data, bool fin) {
+        if (!receive(requests[i], request_got[i], data, fin)) return;
+        ++intact_requests;
+        s->write(responses[i]);
+        s->finish();
+      });
+    });
+    wire.client->set_on_established([&] {
+      for (std::size_t i = 0; i < kStreams; ++i) {
+        Stream& stream = wire.client->open_stream();
+        stream.set_on_data([&, i](std::span<const std::uint8_t> data, bool fin) {
+          if (receive(responses[i], response_got[i], data, fin)) ++intact_responses;
+        });
+        stream.write(requests[i]);
+        stream.finish();
+      }
+    });
+    wire.sim.schedule_at(TimePoint{milliseconds(1500).nanos()}, [&wire] {
+      wire.delay = milliseconds(14);
+      wire.client->set_conduit(wire.conduit(true, 1100));
+    });
+    wire.client->start();
+    ASSERT_TRUE(wire.sim.run_until_condition([&] { return intact_responses == kStreams; },
+                                             TimePoint{seconds(300).nanos()}));
+    EXPECT_EQ(intact_requests, kStreams);
+    EXPECT_GT(wire.client->stats().pto_fired, 0u);
+    EXPECT_EQ(crypto::hex_digest(wire.wire_hash[0].finalize()), golden.client_wire);
+    EXPECT_EQ(crypto::hex_digest(wire.wire_hash[1].finalize()), golden.server_wire);
+    EXPECT_EQ(describe(wire.client->stats()), golden.client_stats);
+    EXPECT_EQ(describe(wire.server->stats()), golden.server_stats);
+  }
+}
+
 /// Heap allocations per packet sent (data and ACKs, both ends) while an
-/// established pair moves one write of `size` bytes.
+/// established pair moves one write of `size` bytes on a fresh stream. A
+/// first write of the same size warms the pair, so the connection's rings
+/// have grown to the flight and the count is what each further write pays.
 double allocations_per_packet(std::size_t size) {
   WirePair wire;
   const Bytes blob = http::generate_blob(size, 9);
@@ -725,34 +870,41 @@ double allocations_per_packet(std::size_t size) {
       fin = last;
     });
   });
+  const auto transfer = [&] {
+    received = 0;
+    fin = false;
+    Stream& stream = wire.client->open_stream();
+    stream.write(blob);
+    stream.finish();
+    EXPECT_TRUE(wire.sim.run_until_condition([&] { return fin; }, wire.sim.now() + seconds(60)));
+    EXPECT_EQ(received, size);
+  };
   wire.client->start();
   wire.sim.run_for(seconds(1));
+  transfer();
   const auto packets = [&] {
     return wire.client->stats().packets_sent + wire.server->stats().packets_sent;
   };
   const std::uint64_t packets_before = packets();
   const std::uint64_t allocations_before = testsupport::allocation_count();
-  Stream& stream = wire.client->open_stream();
-  stream.write(blob);
-  stream.finish();
-  EXPECT_TRUE(wire.sim.run_until_condition([&] { return fin; }, wire.sim.now() + seconds(60)));
+  transfer();
   const std::uint64_t allocations = testsupport::allocation_count() - allocations_before;
   const std::uint64_t sent = packets() - packets_before;
-  EXPECT_EQ(received, size);
   EXPECT_TRUE(intact);
   EXPECT_GT(sent, size / 1200);
   return static_cast<double>(allocations) / static_cast<double>(sent);
 }
 
-TEST(ConnectionTest, BulkWriteCostsAtMostThreeAllocationsPerPacket) {
+TEST(ConnectionTest, BulkWriteCostsAboutOneAllocationPerPacket) {
   if (!testsupport::alloc_probe_active()) {
     GTEST_SKIP() << "counting allocator disabled under sanitizers";
   }
-  // One copy into the send buffer, slices from there on, and in-place reads
-  // on receipt: what is left per packet is its wire buffer and its
-  // in-flight record, plus the peer's ACKs.
+  // One copy into the send buffer, slices from there on, in-place reads on
+  // receipt, and in-flight records and chunk refs in rings the connection
+  // reuses: what is left per packet is its wire buffer, plus the fresh
+  // stream's own few allocations spread over the write.
   for (const std::size_t size : {30'000u, 300'000u, 3'000'000u}) {
-    EXPECT_LE(allocations_per_packet(size), 3.0) << size << "-byte write";
+    EXPECT_LE(allocations_per_packet(size), 1.25) << size << "-byte write";
   }
 }
 

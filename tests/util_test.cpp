@@ -1,11 +1,15 @@
-// Unit tests for src/util: time types, RNG, strings, bytes, stats, Result.
+// Unit tests for src/util: time types, RNG, strings, JSON, the ring buffer,
+// bytes, stats, Result.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/json.hpp"
 #include "util/result.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -231,6 +235,66 @@ TEST(JsonWriterTest, TopLevelDocumentsTakeNoComma) {
   w.begin_object().field("a", 1).end_object().raw("\n");
   w.begin_object().field("b", 2).end_object();
   EXPECT_EQ(w.take(), "{\"a\":1}\n{\"b\":2}");
+}
+
+// ----------------------------------------------------------------- ring --
+
+/// The ring's elements, front to back.
+std::vector<int> contents(const util::Ring<int>& ring) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < ring.size(); ++i) out.push_back(ring[i]);
+  return out;
+}
+
+TEST(RingTest, GrowsWhileWrapped) {
+  util::Ring<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);  // nothing reserved until the first push
+  for (int i = 0; i < 4; ++i) ring.push_back(i);
+  ASSERT_EQ(ring.capacity(), 4u);
+  ring.pop_front();
+  ring.pop_front();
+  ring.push_back(4);
+  ring.push_back(5);  // the back has wrapped to slot 1
+  ring.push_back(6);  // full and wrapped: doubles, front first
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4, 5, 6}));
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 8u);  // clear keeps the storage
+}
+
+TEST(RingTest, PushFrontAtIndexZeroOfAWrappedRing) {
+  util::Ring<int> ring;
+  for (int i = 0; i < 4; ++i) ring.push_back(i);
+  ring.pop_front();  // the head is at slot 1
+  ring.push_back(4);  // wrapped into slot 0
+  ring.pop_front();
+  ring.pop_front();  // the head is at slot 3
+  ring.push_front(20);
+  ring.push_front(10);  // head moves 3 -> 2 -> 1
+  EXPECT_EQ(contents(ring), (std::vector<int>{10, 20, 3, 4}));
+  ring.push_front(0);  // full: grows, then the head wraps below slot 0
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(contents(ring), (std::vector<int>{0, 10, 20, 3, 4}));
+  ring[0] = -1;
+  EXPECT_EQ(ring[0], -1);
+}
+
+TEST(RingTest, PopResetsSlotsAndReleaseFreesStorage) {
+  util::Ring<std::shared_ptr<int>> ring;
+  const auto owned = std::make_shared<int>(7);
+  ring.push_back(owned);
+  ring.push_back(owned);
+  EXPECT_EQ(owned.use_count(), 3);
+  ring.pop_front();  // a popped slot lets go of what it held
+  EXPECT_EQ(owned.use_count(), 2);
+  ring.release();
+  EXPECT_EQ(owned.use_count(), 1);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.push_back(owned);  // usable again: grows from nothing
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(*ring[0], 7);
 }
 
 // ---------------------------------------------------------------- bytes --
